@@ -10,7 +10,9 @@
 //! two grids are cell-for-cell identical, then times the fault-policy sweep,
 //! the cluster balancing sweep, and the duplication/hedging sweep once
 //! each. Two event-core sections follow: requests/sec per engine (legacy
-//! Lindley loop, event heap, event wheel; cluster and hedged cells) and the
+//! Lindley loop, event heap, event wheel; cluster and hedged cells, plus
+//! a power-of-two hedged cell at 16 and 1024 servers whose ns/request
+//! ratio shows what per-request cost still grows with the farm) and the
 //! legacy-vs-fast cluster-sweep path (timing wheel + batched RNG +
 //! within-cell parallel replications). An `obs` section times latency
 //! collection through the streaming [`LatencySketch`] against the exact
@@ -147,6 +149,13 @@ struct EngineCoreBench {
     /// number (both runs share the process and inputs), so a committed
     /// baseline of it travels across CI hosts.
     wheel_vs_heap_rps_ratio: f64,
+    /// Hedged cell on the default event queue under power-of-two choices
+    /// at the small farm's size and at `large_servers`.
+    farm_scale: Vec<EngineTiming>,
+    large_servers: usize,
+    /// Host ns/request of the large farm over the small one: how much of
+    /// the per-request cost still grows with the server count.
+    large_vs_small_ns_ratio: f64,
 }
 
 /// The legacy sweep path (Lindley, one worker, one pass per cell) against
@@ -243,9 +252,11 @@ fn value_as_f64(v: &Value) -> Option<f64> {
 
 /// Times one engine over the fixed benchmark cell and returns its
 /// requests/sec entry.
+#[allow(clippy::too_many_arguments)]
 fn time_engine(
     label: &str,
     engine: ClusterEngine,
+    policy: BalancerPolicy,
     plan: &DuplicationPolicy,
     servers: usize,
     load: f64,
@@ -275,7 +286,7 @@ fn time_engine(
     let mut wall_s = f64::INFINITY;
     for _ in 0..3 {
         let mut svc = |rng: &mut SimRng| service.sample(rng);
-        let mut balancer = BalancerPolicy::Jsq.build();
+        let mut balancer = policy.build();
         let t = Instant::now();
         requests = match engine {
             ClusterEngine::Lindley => {
@@ -529,7 +540,7 @@ fn main() {
     let rack_points = rack_sweep(&rack_opts);
     let rack_s = t4b.elapsed().as_secs_f64();
 
-    eprintln!("bench: event-core engines (heap vs wheel, cluster + hedged)");
+    eprintln!("bench: event-core engines (heap vs wheel, cluster + hedged, farm scale)");
     let (eng_servers, eng_load) = (16usize, 0.6);
     let eng_samples = if smoke { 200_000 } else { 400_000 };
     let none = DuplicationPolicy::none();
@@ -538,6 +549,7 @@ fn main() {
         time_engine(
             "lindley",
             ClusterEngine::Lindley,
+            BalancerPolicy::Jsq,
             &none,
             eng_servers,
             eng_load,
@@ -547,6 +559,7 @@ fn main() {
         time_engine(
             "event_heap",
             ClusterEngine::Event(EventQueueKind::Heap),
+            BalancerPolicy::Jsq,
             &none,
             eng_servers,
             eng_load,
@@ -556,6 +569,7 @@ fn main() {
         time_engine(
             "event_wheel",
             ClusterEngine::Event(EventQueueKind::Wheel),
+            BalancerPolicy::Jsq,
             &none,
             eng_servers,
             eng_load,
@@ -567,6 +581,7 @@ fn main() {
         time_engine(
             "event_heap",
             ClusterEngine::Event(EventQueueKind::Heap),
+            BalancerPolicy::Jsq,
             &hedge_plan,
             eng_servers,
             eng_load,
@@ -576,6 +591,7 @@ fn main() {
         time_engine(
             "event_wheel",
             ClusterEngine::Event(EventQueueKind::Wheel),
+            BalancerPolicy::Jsq,
             &hedge_plan,
             eng_servers,
             eng_load,
@@ -593,6 +609,25 @@ fn main() {
     let both: [&[EngineTiming]; 2] = [&cluster_runs, &hedged_runs];
     let wheel_vs_heap =
         total_wall(&both, "event_heap") / total_wall(&both, "event_wheel").max(1e-12);
+    let large_servers = 1024;
+    let farm_scale: Vec<EngineTiming> = [eng_servers, large_servers]
+        .into_iter()
+        .map(|servers| {
+            time_engine(
+                &format!("po2_{servers}"),
+                ClusterEngine::Event(EventQueueKind::default()),
+                BalancerPolicy::PowerOfD(2),
+                &hedge_plan,
+                servers,
+                eng_load,
+                eng_samples,
+                seed,
+            )
+        })
+        .collect();
+    let ns_per_request = |r: &EngineTiming| r.wall_s * 1e9 / r.requests.max(1) as f64;
+    let large_vs_small_ns_ratio =
+        ns_per_request(&farm_scale[1]) / ns_per_request(&farm_scale[0]).max(1e-12);
     let engine_core = EngineCoreBench {
         servers: eng_servers,
         load: eng_load,
@@ -600,6 +635,9 @@ fn main() {
         cluster: cluster_runs,
         hedged: hedged_runs,
         wheel_vs_heap_rps_ratio: wheel_vs_heap,
+        farm_scale,
+        large_servers,
+        large_vs_small_ns_ratio,
     };
 
     eprintln!("bench: cluster sweep, legacy path vs wheel + replications");

@@ -54,9 +54,92 @@ pub(crate) fn ns_ticks(us: f64) -> u64 {
     (us * CLUSTER_TICKS_PER_US).round().max(0.0) as u64
 }
 
-/// A load-balancing policy: given the per-server queue lengths and
-/// unfinished-work backlogs at an arrival instant (both measured *before*
-/// the new request is placed), pick a server index.
+/// The per-server load a balancer reads at one pick: queue length
+/// (waiting + in service) and unfinished-work backlog in µs, both measured
+/// *before* the new request is placed.
+///
+/// Each accessor computes one server's value on demand, so a pick costs
+/// what the policy probes: power-of-d reads its `d` probes and Random and
+/// RoundRobin read none, while JSQ and LeastWork scan all `len()` by
+/// definition. An engine therefore never materializes an all-server view
+/// per dispatch.
+/// Accessors must be pure within one pick (the same index returns the
+/// same value every time it is read).
+pub trait LoadView {
+    /// Number of candidate servers; picks return an index in `0..len()`.
+    fn len(&self) -> usize;
+    /// Whether there are no candidates (never true at a pick).
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// Queue length of candidate `i`.
+    fn queue(&self, i: usize) -> u32;
+    /// Unfinished work of candidate `i`, µs.
+    fn backlog_us(&self, i: usize) -> f64;
+}
+
+/// A [`LoadView`] over dense per-server slices of equal length — the
+/// Lindley reference loop's state, and a convenient view for tests.
+#[derive(Debug, Clone, Copy)]
+pub struct SliceView<'a> {
+    /// Queue length per server.
+    pub queues: &'a [u32],
+    /// Unfinished work per server, µs.
+    pub backlog_us: &'a [f64],
+}
+
+impl LoadView for SliceView<'_> {
+    fn len(&self) -> usize {
+        self.queues.len()
+    }
+    fn queue(&self, i: usize) -> u32 {
+        self.queues[i]
+    }
+    fn backlog_us(&self, i: usize) -> f64 {
+        self.backlog_us[i]
+    }
+}
+
+/// Visits `d` distinct indices of `0..n` drawn uniformly without
+/// replacement by a partial Fisher–Yates shuffle, in draw order.
+///
+/// Step `j` draws `j + rng.random_range(0..n - j)` exactly as a shuffle of
+/// a dense `0..n` index array would, so the probe sequence and the RNG
+/// state afterwards are bit-identical to the dense shuffle. Instead of the
+/// `n`-long array, `swaps` records only the positions the shuffle has
+/// displaced (`(position, value)`, at most `d` entries), so a call costs
+/// `O(d²)` in the probe count and nothing in `n`. `swaps` is caller-owned
+/// scratch, cleared here, so repeated picks never allocate.
+///
+/// # Panics
+///
+/// Panics if `d > n`.
+pub fn sample_distinct(
+    n: usize,
+    d: usize,
+    rng: &mut SimRng,
+    swaps: &mut Vec<(usize, usize)>,
+    mut visit: impl FnMut(usize),
+) {
+    assert!(d <= n, "cannot draw {d} distinct indices from {n}");
+    swaps.clear();
+    for j in 0..d {
+        let r = j + rng.random_range(0..n - j);
+        // Dense equivalent: `a.swap(j, r); visit(a[j])`. Position `j` is
+        // never read again, so only `a[r] = a[j]` needs recording.
+        let slot = swaps.iter().position(|&(p, _)| p == r);
+        let probe = slot.map_or(r, |k| swaps[k].1);
+        let displaced = swaps.iter().find(|&&(p, _)| p == j).map_or(j, |&(_, v)| v);
+        match slot {
+            Some(k) => swaps[k].1 = displaced,
+            None => swaps.push((r, displaced)),
+        }
+        visit(probe);
+    }
+}
+
+/// A load-balancing policy: given the [`LoadView`] of the candidate
+/// servers at an arrival instant, pick a candidate index.
 ///
 /// Implementations may consume `rng` (Random, power-of-d) or not (JSQ,
 /// RoundRobin, LeastWork); either way the stream is private to the
@@ -65,8 +148,8 @@ pub(crate) fn ns_ticks(us: f64) -> u64 {
 pub trait Balancer {
     /// Short policy name for reports and trace labels.
     fn name(&self) -> &'static str;
-    /// Chooses a server in `0..queues.len()`.
-    fn pick(&mut self, queues: &[u32], backlog_us: &[f64], rng: &mut SimRng) -> usize;
+    /// Chooses a candidate in `0..view.len()`.
+    fn pick(&mut self, view: &dyn LoadView, rng: &mut SimRng) -> usize;
 }
 
 /// Uniform-random assignment: the memoryless baseline every other policy
@@ -78,8 +161,8 @@ impl Balancer for RandomBalancer {
     fn name(&self) -> &'static str {
         "random"
     }
-    fn pick(&mut self, queues: &[u32], _backlog_us: &[f64], rng: &mut SimRng) -> usize {
-        rng.random_range(0..queues.len())
+    fn pick(&mut self, view: &dyn LoadView, rng: &mut SimRng) -> usize {
+        rng.random_range(0..view.len())
     }
 }
 
@@ -93,9 +176,10 @@ impl Balancer for RoundRobinBalancer {
     fn name(&self) -> &'static str {
         "round_robin"
     }
-    fn pick(&mut self, queues: &[u32], _backlog_us: &[f64], _rng: &mut SimRng) -> usize {
-        let i = self.next % queues.len();
-        self.next = (self.next + 1) % queues.len();
+    fn pick(&mut self, view: &dyn LoadView, _rng: &mut SimRng) -> usize {
+        let n = view.len();
+        let i = self.next % n;
+        self.next = (self.next + 1) % n;
         i
     }
 }
@@ -109,21 +193,28 @@ impl Balancer for JsqBalancer {
     fn name(&self) -> &'static str {
         "jsq"
     }
-    fn pick(&mut self, queues: &[u32], _backlog_us: &[f64], _rng: &mut SimRng) -> usize {
-        argmin_u32(queues)
+    fn pick(&mut self, view: &dyn LoadView, _rng: &mut SimRng) -> usize {
+        let (mut best, mut best_q) = (0, view.queue(0));
+        for i in 1..view.len() {
+            let q = view.queue(i);
+            if q < best_q {
+                (best, best_q) = (i, q);
+            }
+        }
+        best
     }
 }
 
 /// Power-of-d choices: probe `d` *distinct* uniformly random servers
-/// (sampled without replacement via a partial Fisher–Yates shuffle), join
-/// the shortest probe, ties to the lowest server index. `d = 2` is the
-/// classic "power of two choices"; `d ≥ n` probes every server and is
-/// therefore identical to JSQ on every sample path (same pick at every
-/// arrival), which the property suite asserts.
+/// (sampled without replacement by [`sample_distinct`]), join the shortest
+/// probe, ties to the lowest server index. `d = 2` is the classic "power
+/// of two choices"; `d ≥ n` probes every server and is therefore identical
+/// to JSQ on every sample path (same pick at every arrival), which the
+/// property suite asserts.
 #[derive(Debug)]
 pub struct PowerOfDBalancer {
     d: usize,
-    scratch: Vec<usize>,
+    swaps: Vec<(usize, usize)>,
 }
 
 impl PowerOfDBalancer {
@@ -132,7 +223,7 @@ impl PowerOfDBalancer {
     pub fn new(d: usize) -> Self {
         Self {
             d: d.max(1),
-            scratch: Vec::new(),
+            swaps: Vec::new(),
         }
     }
 }
@@ -141,23 +232,15 @@ impl Balancer for PowerOfDBalancer {
     fn name(&self) -> &'static str {
         "power_of_d"
     }
-    fn pick(&mut self, queues: &[u32], _backlog_us: &[f64], rng: &mut SimRng) -> usize {
-        let n = queues.len();
-        let d = self.d.min(n);
-        self.scratch.clear();
-        self.scratch.extend(0..n);
-        let mut best = usize::MAX;
-        for j in 0..d {
-            let r = j + rng.random_range(0..n - j);
-            self.scratch.swap(j, r);
-            let probe = self.scratch[j];
-            if best == usize::MAX
-                || queues[probe] < queues[best]
-                || (queues[probe] == queues[best] && probe < best)
-            {
-                best = probe;
+    fn pick(&mut self, view: &dyn LoadView, rng: &mut SimRng) -> usize {
+        let n = view.len();
+        let (mut best, mut best_q) = (usize::MAX, 0);
+        sample_distinct(n, self.d.min(n), rng, &mut self.swaps, |probe| {
+            let q = view.queue(probe);
+            if best == usize::MAX || q < best_q || (q == best_q && probe < best) {
+                (best, best_q) = (probe, q);
             }
-        }
+        });
         best
     }
 }
@@ -175,25 +258,16 @@ impl Balancer for LeastWorkBalancer {
     fn name(&self) -> &'static str {
         "least_work"
     }
-    fn pick(&mut self, _queues: &[u32], backlog_us: &[f64], _rng: &mut SimRng) -> usize {
-        let mut best = 0;
-        for (i, &b) in backlog_us.iter().enumerate().skip(1) {
-            if b < backlog_us[best] {
-                best = i;
+    fn pick(&mut self, view: &dyn LoadView, _rng: &mut SimRng) -> usize {
+        let (mut best, mut best_w) = (0, view.backlog_us(0));
+        for i in 1..view.len() {
+            let w = view.backlog_us(i);
+            if w < best_w {
+                (best, best_w) = (i, w);
             }
         }
         best
     }
-}
-
-fn argmin_u32(xs: &[u32]) -> usize {
-    let mut best = 0;
-    for (i, &x) in xs.iter().enumerate().skip(1) {
-        if x < xs[best] {
-            best = i;
-        }
-    }
-    best
 }
 
 /// Value-level balancer selector, so experiment grids can enumerate
@@ -555,7 +629,11 @@ pub fn try_simulate_cluster(
             backlog[i] = (free_at[i] - t).max(0.0);
         }
 
-        let pick = balancer.pick(&queues, &backlog, &mut brng);
+        let view = SliceView {
+            queues: &queues,
+            backlog_us: &backlog,
+        };
+        let pick = balancer.pick(&view, &mut brng);
         debug_assert!(pick < n, "balancer picked out-of-range server {pick}");
         let wait = backlog[pick];
         let done = t + wait + s;
@@ -884,30 +962,32 @@ struct ReqCell {
     copies: Vec<usize>,
 }
 
-/// Per-server queue state in struct-of-arrays layout. The dispatch hot
-/// path reads `in_system` / `serve_end` / `queued_work` across *every*
-/// candidate server at each pick, so parallel arrays keep those scans on
-/// dense cache lines instead of striding over whole per-server structs —
-/// the same reason the cycle sims pre-size their ROB/LSQ arrays.
+/// Per-server queue state in struct-of-arrays layout, shared by the
+/// hedged and rack engines (the rack queues everything on `prim_q`). A
+/// pick reads only the servers its balancer probes, through
+/// [`ServerView`]; the scans that do touch every server — JSQ and
+/// LeastWork picks, gauge sampling — walk the parallel `in_system` /
+/// `serving` / `serve_end` / `queued_work` arrays on dense cache lines
+/// instead of striding over whole per-server structs.
 #[derive(Debug, Default)]
-struct ServerSoa {
-    prim_q: Vec<VecDeque<usize>>,
-    dup_q: Vec<VecDeque<usize>>,
-    serving: Vec<Option<usize>>,
-    serve_start: Vec<f64>,
-    serve_end: Vec<f64>,
+pub(crate) struct ServerSoa {
+    pub(crate) prim_q: Vec<VecDeque<usize>>,
+    pub(crate) dup_q: Vec<VecDeque<usize>>,
+    pub(crate) serving: Vec<Option<usize>>,
+    pub(crate) serve_start: Vec<f64>,
+    pub(crate) serve_end: Vec<f64>,
     /// Bumped at every service start *and* every in-service abort, so a
     /// Depart event scheduled for an aborted service is recognized as
     /// stale and ignored (lazy cancellation).
-    epoch: Vec<u64>,
+    pub(crate) epoch: Vec<u64>,
     /// Live copies per server: queued + in service.
-    in_system: Vec<u32>,
+    pub(crate) in_system: Vec<u32>,
     /// Unstarted demand queued per server, µs.
-    queued_work: Vec<f64>,
+    pub(crate) queued_work: Vec<f64>,
 }
 
 impl ServerSoa {
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             prim_q: vec![VecDeque::new(); n],
             dup_q: vec![VecDeque::new(); n],
@@ -918,6 +998,64 @@ impl ServerSoa {
             in_system: vec![0; n],
             queued_work: vec![0.0; n],
         }
+    }
+
+    /// Unfinished work on server `i` at time `t`, µs: queued demand plus
+    /// the in-service residual.
+    pub(crate) fn backlog_us(&self, i: usize, t: f64) -> f64 {
+        let residual = if self.serving[i].is_some() {
+            (self.serve_end[i] - t).max(0.0)
+        } else {
+            0.0
+        };
+        self.queued_work[i] + residual
+    }
+}
+
+/// The balancer's view of a [`ServerSoa`] at time `t` with the servers in
+/// `held` hidden (sorted, distinct, never all of them): candidate `ℓ` is
+/// the `ℓ`-th server not in `held`. An empty `held` is the unmasked farm.
+pub(crate) struct ServerView<'a> {
+    pub(crate) servers: &'a ServerSoa,
+    pub(crate) held: &'a [usize],
+    pub(crate) t: f64,
+}
+
+impl ServerView<'_> {
+    /// Turns the servers already holding copies of a request (any order,
+    /// repeats allowed) into the mask `held` must be: sorted and distinct,
+    /// and empty when every one of the `n` servers is held, so the
+    /// balancer always has a candidate.
+    pub(crate) fn normalize_mask(held: &mut Vec<usize>, n: usize) {
+        held.sort_unstable();
+        held.dedup();
+        if held.len() == n {
+            held.clear();
+        }
+    }
+
+    /// Maps candidate `local` to its server id in `O(held.len())`.
+    pub(crate) fn server(&self, local: usize) -> usize {
+        let mut s = local;
+        for &h in self.held {
+            if h > s {
+                break;
+            }
+            s += 1;
+        }
+        s
+    }
+}
+
+impl LoadView for ServerView<'_> {
+    fn len(&self) -> usize {
+        self.servers.in_system.len() - self.held.len()
+    }
+    fn queue(&self, i: usize) -> u32 {
+        self.servers.in_system[self.server(i)]
+    }
+    fn backlog_us(&self, i: usize) -> f64 {
+        self.servers.backlog_us(self.server(i), self.t)
     }
 }
 
@@ -1124,9 +1262,7 @@ fn run_hedged<Q: EventQueue<EvKind>>(
         clock: 0.0,
         converged: false,
         arrivals: 0,
-        pick_map: Vec::with_capacity(n),
-        pick_queues: Vec::with_capacity(n),
-        pick_backlog: Vec::with_capacity(n),
+        held: Vec::new(),
         demand_buf: Vec::new(),
     };
     sim.schedule(0.0, EvKind::Arrive);
@@ -1233,11 +1369,9 @@ struct HedgeSim<'a, Q> {
     clock: f64,
     converged: bool,
     arrivals: usize,
-    /// Dispatch scratch (candidate server ids and their queue/backlog
-    /// views), reused across every pick so the hot path never allocates.
-    pick_map: Vec<usize>,
-    pick_queues: Vec<u32>,
-    pick_backlog: Vec<f64>,
+    /// Dispatch scratch: the sorted servers already holding a copy of the
+    /// request being placed, reused so the hot path never allocates.
+    held: Vec<usize>,
     /// Batched duplicate-demand draws for eager arrival bursts.
     demand_buf: Vec<f64>,
 }
@@ -1367,37 +1501,21 @@ impl<Q: EventQueue<EvKind>> HedgeSim<'_, Q> {
         balancer: &mut dyn Balancer,
         brng: &mut SimRng,
     ) -> usize {
-        let n = self.servers.serving.len();
-        // Masked candidate list and its queue/backlog views, rebuilt in
-        // the reused scratch buffers (no per-dispatch allocation). A
-        // request's existing copies are few, so the containment scan is
-        // cheaper than materializing a taken-set.
-        let held = &self.reqs[req].copies;
-        let copies = &self.copies;
-        self.pick_map.clear();
-        self.pick_map
-            .extend((0..n).filter(|&i| !held.iter().any(|&c| copies[c].server == i)));
-        if self.pick_map.is_empty() {
-            self.pick_map.extend(0..n);
-        }
-        self.pick_queues.clear();
-        self.pick_backlog.clear();
-        for &i in &self.pick_map {
-            self.pick_queues.push(self.servers.in_system[i]);
-            let residual = if self.servers.serving[i].is_some() {
-                (self.servers.serve_end[i] - t).max(0.0)
-            } else {
-                0.0
-            };
-            self.pick_backlog
-                .push(self.servers.queued_work[i] + residual);
-        }
-        let local = balancer.pick(&self.pick_queues, &self.pick_backlog, brng);
-        debug_assert!(
-            local < self.pick_map.len(),
-            "balancer picked out-of-range {local}"
-        );
-        let server = self.pick_map[local];
+        // The mask: servers already holding a copy of this request. A
+        // request's copies are few, so sorting them is cheap, and the view
+        // maps candidates around them without an n-long candidate list.
+        self.held.clear();
+        self.held
+            .extend(self.reqs[req].copies.iter().map(|&c| self.copies[c].server));
+        ServerView::normalize_mask(&mut self.held, self.servers.serving.len());
+        let view = ServerView {
+            servers: &self.servers,
+            held: &self.held,
+            t,
+        };
+        let local = balancer.pick(&view, brng);
+        debug_assert!(local < view.len(), "balancer picked out-of-range {local}");
+        let server = view.server(local);
 
         let copy = self.copies.len();
         self.copies.push(CopyCell {
@@ -1537,8 +1655,9 @@ impl<Q: EventQueue<EvKind>> HedgeSim<'_, Q> {
                 }
             }
             if self.plan.purge {
-                let siblings = self.reqs[req].copies.clone();
-                for sib in siblings {
+                // By index: purging never touches the request's copy list.
+                for k in 0..self.reqs[req].copies.len() {
+                    let sib = self.reqs[req].copies[k];
                     if sib != c {
                         self.purge_copy(sib, t, measured);
                     }
@@ -2155,5 +2274,77 @@ mod tests {
             log.registry.counter("cluster/requests"),
             traced.samples as u64
         );
+    }
+
+    /// Bitwise contracts of the `O(d)` pick machinery against dense
+    /// reference implementations.
+    mod view_contract {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Reference partial Fisher–Yates shuffle over a dense `n`-long
+        /// index array, swapped in place.
+        fn dense_sample(n: usize, d: usize, rng: &mut SimRng) -> Vec<usize> {
+            let mut a: Vec<usize> = (0..n).collect();
+            (0..d)
+                .map(|j| {
+                    let r = j + rng.random_range(0..n - j);
+                    a.swap(j, r);
+                    a[j]
+                })
+                .collect()
+        }
+
+        proptest! {
+            /// The sparse sampler draws exactly the dense shuffle's probes and
+            /// leaves the RNG in the same state — the bitwise contract that
+            /// keeps every power-of-d and steal probe sequence unchanged.
+            #[test]
+            fn sample_distinct_matches_the_dense_shuffle(
+                n in 1usize..4097,
+                d_raw in 0usize..1_000_000,
+                seed in 0u64..1_000_000,
+            ) {
+                let d = 1 + d_raw % n;
+                let mut dense_rng = rng_from_seed(seed);
+                let dense = dense_sample(n, d, &mut dense_rng);
+                let mut sparse_rng = rng_from_seed(seed);
+                let mut swaps = vec![(7, 7)]; // stale scratch must not leak in
+                let mut sparse = Vec::with_capacity(d);
+                sample_distinct(n, d, &mut sparse_rng, &mut swaps, |i| sparse.push(i));
+                prop_assert_eq!(&sparse, &dense);
+                prop_assert!(swaps.len() <= d);
+                let (next_dense, next_sparse): (u64, u64) =
+                    (dense_rng.random(), sparse_rng.random());
+                prop_assert_eq!(next_sparse, next_dense);
+            }
+
+            /// The masked view's candidate map equals the dense filtered
+            /// candidate list: every server not holding a copy, in order, or
+            /// every server when all hold one. Held lists repeat servers
+            /// whenever a request has more copies than there are servers.
+            #[test]
+            fn masked_view_matches_the_filtered_candidate_list(
+                n in 1usize..40,
+                raw in prop::collection::vec(0usize..40, 0..12),
+                all_held in any::<bool>(),
+            ) {
+                let mut copies: Vec<usize> = raw.iter().map(|&s| s % n).collect();
+                if all_held {
+                    copies.extend(0..n);
+                }
+                let mut filtered: Vec<usize> =
+                    (0..n).filter(|i| !copies.contains(i)).collect();
+                if filtered.is_empty() {
+                    filtered.extend(0..n);
+                }
+                let mut held = copies.clone();
+                ServerView::normalize_mask(&mut held, n);
+                let servers = ServerSoa::new(n);
+                let view = ServerView { servers: &servers, held: &held, t: 0.0 };
+                let mapped: Vec<usize> = (0..view.len()).map(|l| view.server(l)).collect();
+                prop_assert_eq!(mapped, filtered);
+            }
+        }
     }
 }

@@ -42,10 +42,21 @@
 //! past Δ. Centralized means one dispatcher (full placement knowledge);
 //! distributed-k shards tenants across k dispatchers that each compensate
 //! only their own window, so information degrades with both Δ and k.
+//!
+//! Dispatch cost: the balancer reads servers through a
+//! [`LoadView`](crate::cluster::LoadView) that computes one server's stale
+//! state on demand (an amortized `O(1)` step through its history plus the
+//! dispatcher's own placements on it), so a power-of-d pick or a steal
+//! costs what it probes, not `O(n)`. A server's history is pruned when the
+//! server *records* a snapshot, at `τ = t − Δ` of that record: every later
+//! query observes a later `τ`, so all but the last snapshot at or before it
+//! are dead. A server's history thus holds its snapshots from the last Δ
+//! before its latest record plus one, whether or not any dispatcher ever
+//! probes it.
 
 use crate::cluster::{
-    merge_replications, ns_ticks, Balancer, BalancerPolicy, ClusterOptions, ClusterResult,
-    BALANCER_STREAM, CLUSTER_TICKS_PER_US,
+    merge_replications, ns_ticks, sample_distinct, Balancer, BalancerPolicy, ClusterOptions,
+    ClusterResult, LoadView, ServerSoa, ServerView, BALANCER_STREAM, CLUSTER_TICKS_PER_US,
 };
 use crate::des::Unstable;
 use crate::eventcore::{EventQueue, EventQueueKind, HeapEventQueue, WheelEventQueue};
@@ -55,7 +66,7 @@ use duplexity_stats::quantile::QuantileEstimator;
 use duplexity_stats::rng::{derive_stream, draw_batch, rng_from_seed, SimRng};
 use duplexity_stats::summary::Summary;
 use duplexity_stats::zipf::Zipf;
-use rand::RngExt;
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 /// Stream label for work-stealing victim probes. Independent of the
@@ -339,6 +350,82 @@ struct Snap {
     serve_end: f64,
 }
 
+/// One server's visible-state history, oldest first.
+#[derive(Debug, Clone, Default)]
+struct History {
+    snaps: VecDeque<Snap>,
+    /// Index of the snapshot the latest query observed. Queries are
+    /// monotone in `τ` (events pop in time order), so the next query's
+    /// snapshot is at or after it and a lookup is amortized `O(1)`.
+    cursor: Cell<usize>,
+}
+
+impl History {
+    /// Appends the state as of `t` and drops the snapshots no query at
+    /// `τ ≥ t − Δ` can observe: all but the last one at or before it.
+    fn record(&mut self, snap: Snap, delta_us: f64) {
+        let h = &mut self.snaps;
+        // Several mutations at one instant collapse to the final state —
+        // an observer at τ = t sees the state after the whole event.
+        match h.back_mut() {
+            Some(last) if last.t == snap.t => *last = snap,
+            _ => h.push_back(snap),
+        }
+        let tau = snap.t - delta_us;
+        while h.len() >= 2 && h[1].t <= tau {
+            h.pop_front();
+            self.cursor.set(self.cursor.get().saturating_sub(1));
+        }
+    }
+
+    /// The server state visible at `τ`: the last snapshot at or before
+    /// `τ`, with the in-service residual projected to `τ`. Before any
+    /// snapshot the server looks empty.
+    fn visible(&self, tau: f64) -> (u32, f64) {
+        let h = &self.snaps;
+        let mut k = self.cursor.get();
+        while k + 1 < h.len() && h[k + 1].t <= tau {
+            k += 1;
+        }
+        self.cursor.set(k);
+        match h.get(k) {
+            Some(snap) if snap.t <= tau => {
+                let residual = if snap.serving {
+                    (snap.serve_end - tau).max(0.0)
+                } else {
+                    0.0
+                };
+                (snap.in_system, snap.queued_work + residual)
+            }
+            _ => (0, 0.0),
+        }
+    }
+}
+
+/// One dispatcher's Δ-stale [`LoadView`]: each server's snapshot visible
+/// at `τ`, plus the dispatcher's own placements on it in `(τ, t]`.
+struct StaleView<'a> {
+    hist: &'a [History],
+    /// The dispatcher's own-placement demands per server, oldest first.
+    own: &'a [VecDeque<f64>],
+    tau: f64,
+}
+
+impl LoadView for StaleView<'_> {
+    fn len(&self) -> usize {
+        self.hist.len()
+    }
+    fn queue(&self, i: usize) -> u32 {
+        self.hist[i].visible(self.tau).0 + self.own[i].len() as u32
+    }
+    fn backlog_us(&self, i: usize) -> f64 {
+        // Oldest placement first: the same float sum as a time-ordered
+        // scan of the dispatcher's window.
+        let w = self.hist[i].visible(self.tau).1;
+        self.own[i].iter().fold(w, |w, &d| w + d)
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 enum RackEv {
     Arrive,
@@ -447,7 +534,7 @@ pub fn try_simulate_rack(
         return Err(Unstable { rho_estimate });
     }
 
-    match opts.event_queue {
+    Ok(match opts.event_queue {
         EventQueueKind::Heap => run_rack(
             HeapEventQueue::new(),
             service,
@@ -457,7 +544,8 @@ pub fn try_simulate_rack(
             tracer,
             rng,
             interarrival,
-        ),
+        )
+        .into_result(),
         EventQueueKind::Wheel => {
             // One arrival + one departure per request: the cluster's event
             // rate with a copies hint of 1, so the wheel geometry (and its
@@ -472,21 +560,24 @@ pub fn try_simulate_rack(
                 rng,
                 interarrival,
             )
+            .into_result()
         }
-    }
+    })
 }
 
+/// Runs the rack's event loop to completion and returns the drained
+/// simulator state.
 #[allow(clippy::too_many_arguments)]
-fn run_rack<Q: EventQueue<RackEv>>(
+fn run_rack<'a, Q: EventQueue<RackEv>>(
     queue: Q,
     service: &mut dyn FnMut(&mut SimRng) -> f64,
     policy: BalancerPolicy,
-    plan: &RackPlan,
-    opts: &ClusterOptions,
-    tracer: &Tracer,
+    plan: &'a RackPlan,
+    opts: &'a ClusterOptions,
+    tracer: &'a Tracer,
     mut rng: SimRng,
     interarrival: Exponential,
-) -> Result<RackResult, Unstable> {
+) -> RackSim<'a, Q> {
     let n = opts.servers;
     let stale = plan.delta_us > 0.0;
     let mut brng = rng_from_seed(derive_stream(opts.seed, BALANCER_STREAM));
@@ -515,15 +606,10 @@ fn run_rack<Q: EventQueue<RackEv>>(
         traced: tracer.is_enabled(),
         series_on: tracer.has_timeseries(),
         stale,
-        q: vec![VecDeque::new(); n],
-        serving: vec![None; n],
-        serve_start: vec![0.0; n],
-        serve_end: vec![0.0; n],
-        epoch: vec![0; n],
-        in_system: vec![0; n],
-        queued_work: vec![0.0; n],
-        hist: vec![VecDeque::new(); if stale { n } else { 0 }],
+        servers: ServerSoa::new(n),
+        hist: vec![History::default(); if stale { n } else { 0 }],
         windows: vec![VecDeque::new(); if stale { k_disp } else { 0 }],
+        own: vec![VecDeque::new(); if stale { k_disp * n } else { 0 }],
         jobs: Vec::with_capacity(req_cap),
         queue,
         sojourns: QuantileEstimator::with_capacity(opts.max_samples.min(1 << 20)),
@@ -540,9 +626,7 @@ fn run_rack<Q: EventQueue<RackEv>>(
         clock: 0.0,
         converged: false,
         arrivals: 0,
-        pick_queues: Vec::with_capacity(n),
-        pick_backlog: Vec::with_capacity(n),
-        probe_scratch: Vec::with_capacity(n),
+        steal_swaps: Vec::new(),
     };
     sim.schedule(0.0, RackEv::Arrive);
 
@@ -580,39 +664,7 @@ fn run_rack<Q: EventQueue<RackEv>>(
     if sim.traced {
         sim.flush_profile();
     }
-
-    let n_f = n as f64;
-    let clock = sim.clock;
-    let samples = sim.sojourns.count();
-    Ok(RackResult {
-        cluster: ClusterResult {
-            tail_us: sim.sojourns.quantile(opts.quantile).unwrap_or(0.0),
-            tail_ci: sim.sojourns.quantile_ci(opts.quantile, opts.confidence),
-            mean_sojourn_us: sim.sojourns.mean().unwrap_or(0.0),
-            p50_us: sim.sojourns.quantile(0.5).unwrap_or(0.0),
-            mean_wait_us: if sim.wait_sum.count() > 0 {
-                sim.wait_sum.mean()
-            } else {
-                0.0
-            },
-            wait: sim.wait_sum,
-            sojourn: sim.sojourn_sum,
-            utilization: if clock > 0.0 {
-                (sim.delivered_us / (n_f * clock)).min(1.0)
-            } else {
-                0.0
-            },
-            per_server_requests: sim.per_server,
-            samples,
-            converged: sim.converged,
-            sojourn_samples: sim.sojourns,
-            sketch: sim.sketch,
-            measured_us: clock,
-        },
-        tally: sim.tally,
-        hot_sketch: sim.hot_sketch,
-        cold_sketch: sim.cold_sketch,
-    })
+    sim
 }
 
 struct RackSim<'a, Q> {
@@ -625,22 +677,20 @@ struct RackSim<'a, Q> {
     /// bookkeeping (not just produce equal views) to stay bitwise equal to
     /// the cluster engine.
     stale: bool,
-    // Per-server FCFS state (the cluster engine's SoA layout, one queue
-    // class since the rack issues no duplicates).
-    q: Vec<VecDeque<usize>>,
-    serving: Vec<Option<usize>>,
-    serve_start: Vec<f64>,
-    serve_end: Vec<f64>,
-    epoch: Vec<u64>,
-    in_system: Vec<u32>,
-    queued_work: Vec<f64>,
+    /// Per-server FCFS state (the cluster engine's SoA layout; jobs queue
+    /// on `prim_q` only, since the rack issues no duplicates).
+    servers: ServerSoa,
     /// Per-server snapshot history for stale views (empty when Δ = 0).
-    /// Front-pruned as `τ = t − Δ` advances; queries are monotone in `t`
-    /// because events pop in time order.
-    hist: Vec<VecDeque<Snap>>,
-    /// Per-dispatcher compensation windows: own placements `(t, server,
-    /// demand)` younger than Δ (empty when Δ = 0).
-    windows: Vec<VecDeque<(f64, usize, f64)>>,
+    /// Front-pruned at each record (see the module docs); queries are
+    /// monotone in `t` because events pop in time order.
+    hist: Vec<History>,
+    /// Per-dispatcher compensation windows: own placements `(t, server)`
+    /// younger than Δ, oldest first (empty when Δ = 0).
+    windows: Vec<VecDeque<(f64, usize)>>,
+    /// The windows' demands split per server: `own[disp * n + server]`
+    /// holds dispatcher `disp`'s window demands on `server`, oldest first,
+    /// popped in step with `windows[disp]`.
+    own: Vec<VecDeque<f64>>,
     jobs: Vec<Job>,
     queue: Q,
     sojourns: QuantileEstimator,
@@ -659,74 +709,69 @@ struct RackSim<'a, Q> {
     clock: f64,
     converged: bool,
     arrivals: usize,
-    pick_queues: Vec<u32>,
-    pick_backlog: Vec<f64>,
-    probe_scratch: Vec<usize>,
+    /// [`sample_distinct`] scratch for steal probes.
+    steal_swaps: Vec<(usize, usize)>,
 }
 
 impl<Q: EventQueue<RackEv>> RackSim<'_, Q> {
+    /// Assembles the run's results from the drained simulator.
+    fn into_result(mut self) -> RackResult {
+        let opts = self.opts;
+        let n_f = self.servers.serving.len() as f64;
+        let clock = self.clock;
+        let samples = self.sojourns.count();
+        RackResult {
+            cluster: ClusterResult {
+                tail_us: self.sojourns.quantile(opts.quantile).unwrap_or(0.0),
+                tail_ci: self.sojourns.quantile_ci(opts.quantile, opts.confidence),
+                mean_sojourn_us: self.sojourns.mean().unwrap_or(0.0),
+                p50_us: self.sojourns.quantile(0.5).unwrap_or(0.0),
+                mean_wait_us: if self.wait_sum.count() > 0 {
+                    self.wait_sum.mean()
+                } else {
+                    0.0
+                },
+                wait: self.wait_sum,
+                sojourn: self.sojourn_sum,
+                utilization: if clock > 0.0 {
+                    (self.delivered_us / (n_f * clock)).min(1.0)
+                } else {
+                    0.0
+                },
+                per_server_requests: self.per_server,
+                samples,
+                converged: self.converged,
+                sojourn_samples: self.sojourns,
+                sketch: self.sketch,
+                measured_us: clock,
+            },
+            tally: self.tally,
+            hot_sketch: self.hot_sketch,
+            cold_sketch: self.cold_sketch,
+        }
+    }
+
     fn schedule(&mut self, t: f64, kind: RackEv) {
         self.ev_pushed[usize::from(kind.rank())] += 1;
         self.queue.push(t, kind.rank(), kind);
     }
 
-    /// Records the server's post-mutation state into its visible history.
-    /// No-op on the fresh path.
+    /// Records the server's post-mutation state into its visible history
+    /// and prunes the snapshots no later query can observe. No-op on the
+    /// fresh path.
     fn record_snap(&mut self, server: usize, t: f64) {
         if !self.stale {
             return;
         }
+        let sv = &self.servers;
         let snap = Snap {
             t,
-            in_system: self.in_system[server],
-            queued_work: self.queued_work[server],
-            serving: self.serving[server].is_some(),
-            serve_end: self.serve_end[server],
+            in_system: sv.in_system[server],
+            queued_work: sv.queued_work[server],
+            serving: sv.serving[server].is_some(),
+            serve_end: sv.serve_end[server],
         };
-        let h = &mut self.hist[server];
-        // Several mutations at one instant collapse to the final state —
-        // an observer at τ = t sees the state after the whole event.
-        match h.back_mut() {
-            Some(last) if last.t == t => *last = snap,
-            _ => h.push_back(snap),
-        }
-    }
-
-    /// The server state visible at `τ`: the last snapshot at or before
-    /// `τ`, with the in-service residual projected to `τ`. Before any
-    /// snapshot the server looks empty. Prunes history the observer can
-    /// never need again (queries are monotone in `τ`).
-    fn visible(&mut self, server: usize, tau: f64) -> (u32, f64) {
-        let h = &mut self.hist[server];
-        while h.len() >= 2 && h[1].t <= tau {
-            h.pop_front();
-        }
-        match h.front() {
-            Some(snap) if snap.t <= tau => {
-                let residual = if snap.serving {
-                    (snap.serve_end - tau).max(0.0)
-                } else {
-                    0.0
-                };
-                (snap.in_system, snap.queued_work + residual)
-            }
-            _ => (0, 0.0),
-        }
-    }
-
-    /// The server state as the dispatcher sees it right now: fresh at
-    /// Δ = 0 (bitwise the cluster's view), else the Δ-stale snapshot.
-    fn dispatch_view(&mut self, server: usize, t: f64) -> (u32, f64) {
-        if !self.stale {
-            let residual = if self.serving[server].is_some() {
-                (self.serve_end[server] - t).max(0.0)
-            } else {
-                0.0
-            };
-            (self.in_system[server], self.queued_work[server] + residual)
-        } else {
-            self.visible(server, t - self.plan.delta_us)
-        }
+        self.hist[server].record(snap, self.plan.delta_us);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -783,9 +828,9 @@ impl<Q: EventQueue<RackEv>> RackSim<'_, Q> {
         }
     }
 
-    /// Places one request through dispatcher `disp`: build the visible
-    /// queue/backlog views (fresh or stale-plus-own-compensation), pick,
-    /// enqueue, and start service if the server is idle.
+    /// Places one request through dispatcher `disp`: pick through its view
+    /// (fresh, or stale plus own-placement compensation), enqueue, and
+    /// start service if the server is idle.
     fn dispatch(
         &mut self,
         job: usize,
@@ -795,36 +840,42 @@ impl<Q: EventQueue<RackEv>> RackSim<'_, Q> {
         balancer: &mut dyn Balancer,
         brng: &mut SimRng,
     ) {
-        let n = self.serving.len();
-        self.pick_queues.clear();
-        self.pick_backlog.clear();
-        for i in 0..n {
-            let (qn, w) = self.dispatch_view(i, t);
-            self.pick_queues.push(qn);
-            self.pick_backlog.push(w);
-        }
-        if self.stale {
-            // Compensate with this dispatcher's own placements younger
-            // than Δ: it knows what it placed, it just cannot see
-            // departures (or other dispatchers' placements) that fresh.
+        let n = self.servers.serving.len();
+        let server = if self.stale {
+            // Age out this dispatcher's placements older than Δ: it knows
+            // what it placed, it just cannot see departures (or other
+            // dispatchers' placements) that fresh.
             let tau = t - self.plan.delta_us;
+            let own = &mut self.own[disp * n..(disp + 1) * n];
             let win = &mut self.windows[disp];
-            while win.front().is_some_and(|&(ts, _, _)| ts <= tau) {
+            while let Some(&(ts, s)) = win.front() {
+                if ts > tau {
+                    break;
+                }
                 win.pop_front();
+                own[s].pop_front();
             }
-            for &(_, s, d) in win.iter() {
-                self.pick_queues[s] += 1;
-                self.pick_backlog[s] += d;
-            }
-        }
-        let server = balancer.pick(&self.pick_queues, &self.pick_backlog, brng);
+            let view = StaleView {
+                hist: &self.hist,
+                own,
+                tau,
+            };
+            balancer.pick(&view, brng)
+        } else {
+            let view = ServerView {
+                servers: &self.servers,
+                held: &[],
+                t,
+            };
+            balancer.pick(&view, brng)
+        };
         debug_assert!(server < n, "balancer picked out-of-range server {server}");
 
         let measured = self.jobs[job].measured;
         if measured {
             self.per_server[server] += 1;
             if self.traced {
-                let queue_len = self.in_system[server];
+                let queue_len = self.servers.in_system[server];
                 self.tracer.emit(|| TraceEvent::Dispatch {
                     at: ns_ticks(t),
                     server: server as u32,
@@ -834,11 +885,12 @@ impl<Q: EventQueue<RackEv>> RackSim<'_, Q> {
                     .count(&format!("rack/server/{server}/requests"), 1);
             }
         }
-        self.in_system[server] += 1;
-        self.queued_work[server] += demand;
-        self.q[server].push_back(job);
+        self.servers.in_system[server] += 1;
+        self.servers.queued_work[server] += demand;
+        self.servers.prim_q[server].push_back(job);
         if self.stale {
-            self.windows[disp].push_back((t, server, demand));
+            self.windows[disp].push_back((t, server));
+            self.own[disp * n + server].push_back(demand);
         }
         self.record_snap(server, t);
         self.maybe_start(server, t);
@@ -846,10 +898,11 @@ impl<Q: EventQueue<RackEv>> RackSim<'_, Q> {
 
     /// Starts the next queued job on an idle server.
     fn maybe_start(&mut self, server: usize, t: f64) {
-        if self.serving[server].is_some() {
+        let sv = &mut self.servers;
+        if sv.serving[server].is_some() {
             return;
         }
-        let Some(j) = self.q[server].pop_front() else {
+        let Some(j) = sv.prim_q[server].pop_front() else {
             return;
         };
         debug_assert_eq!(
@@ -859,13 +912,13 @@ impl<Q: EventQueue<RackEv>> RackSim<'_, Q> {
         );
         self.jobs[j].state = JobState::InService;
         let demand = self.jobs[j].demand;
-        self.serving[server] = Some(j);
-        self.serve_start[server] = t;
-        self.serve_end[server] = t + demand;
-        self.queued_work[server] -= demand;
-        self.epoch[server] += 1;
-        let epoch = self.epoch[server];
-        let end = self.serve_end[server];
+        sv.serving[server] = Some(j);
+        sv.serve_start[server] = t;
+        sv.serve_end[server] = t + demand;
+        sv.queued_work[server] -= demand;
+        sv.epoch[server] += 1;
+        let epoch = sv.epoch[server];
+        let end = sv.serve_end[server];
         if self.jobs[j].measured {
             let w = t - self.jobs[j].arrival;
             self.wait_sum.record(w);
@@ -878,14 +931,14 @@ impl<Q: EventQueue<RackEv>> RackSim<'_, Q> {
     }
 
     fn on_depart(&mut self, server: usize, epoch: u64, t: f64, srng: &mut SimRng) {
-        if self.epoch[server] != epoch {
+        if self.servers.epoch[server] != epoch {
             return; // stale departure (defensive; the rack never aborts service)
         }
-        let j = self.serving[server]
+        let j = self.servers.serving[server]
             .take()
             .expect("live Depart on an idle server");
         self.jobs[j].state = JobState::Done;
-        self.in_system[server] -= 1;
+        self.servers.in_system[server] -= 1;
         let measured = self.jobs[j].measured;
         if measured {
             self.delivered_us += self.jobs[j].demand;
@@ -923,53 +976,47 @@ impl<Q: EventQueue<RackEv>> RackSim<'_, Q> {
         // Work stealing: a server that stays idle after a departure pulls
         // from the longest visible backlog. Probes draw from the steal
         // stream only, so a no-steal plan is an RNG no-op.
-        if self.plan.steal.probes > 0 && self.serving[server].is_none() {
+        if self.plan.steal.probes > 0 && self.servers.serving[server].is_none() {
             self.try_steal(server, t, srng);
         }
     }
 
     /// One steal attempt by idle `thief`: probe `d` distinct victims
-    /// (partial Fisher–Yates on the steal stream), pick the one with the
-    /// longest *visible* backlog above the queue threshold, and migrate
-    /// its oldest queued request. A victim whose actual queue turns out
-    /// empty — the stale signal lied — counts as `steals_empty`.
+    /// among the other servers ([`sample_distinct`] on the steal stream),
+    /// pick the one with the longest *visible* backlog above the queue
+    /// threshold, and migrate its oldest queued request. A victim whose
+    /// actual queue turns out empty — the stale signal lied — counts as
+    /// `steals_empty`.
     fn try_steal(&mut self, thief: usize, t: f64, srng: &mut SimRng) {
-        let n = self.serving.len();
+        let n = self.servers.serving.len();
         if n < 2 {
             return;
         }
         let tau = t - self.plan.delta_us;
-        self.probe_scratch.clear();
-        self.probe_scratch.extend((0..n).filter(|&i| i != thief));
-        let m = self.probe_scratch.len();
-        let d = self.plan.steal.probes.min(m);
+        let d = self.plan.steal.probes.min(n - 1);
         let mut victim = None;
         let mut best_w = f64::NEG_INFINITY;
-        for j in 0..d {
-            let r = j + srng.random_range(0..m - j);
-            self.probe_scratch.swap(j, r);
-            let probe = self.probe_scratch[j];
-            self.tally.steal_probes += 1;
+        sample_distinct(n - 1, d, srng, &mut self.steal_swaps, |l| {
+            // Candidate `l` of the `n − 1` servers other than the thief.
+            let probe = l + usize::from(l >= thief);
             let (qn, w) = if self.stale {
-                self.visible(probe, tau)
+                self.hist[probe].visible(tau)
             } else {
-                let residual = if self.serving[probe].is_some() {
-                    (self.serve_end[probe] - t).max(0.0)
-                } else {
-                    0.0
-                };
-                (self.in_system[probe], self.queued_work[probe] + residual)
+                let sv = &self.servers;
+                (sv.in_system[probe], sv.backlog_us(probe, t))
             };
             if qn >= self.plan.steal.min_queue && w > best_w {
                 best_w = w;
                 victim = Some(probe);
             }
-        }
+        });
+        self.tally.steal_probes += d as u64;
         if self.traced {
             self.tracer.count("rack/steal/probes", d as u64);
         }
         let Some(v) = victim else { return };
-        let Some(j) = self.q[v].pop_front() else {
+        let sv = &mut self.servers;
+        let Some(j) = sv.prim_q[v].pop_front() else {
             // The visible backlog was stale: the victim has nothing.
             self.tally.steals_empty += 1;
             if self.traced {
@@ -978,11 +1025,11 @@ impl<Q: EventQueue<RackEv>> RackSim<'_, Q> {
             return;
         };
         let demand = self.jobs[j].demand;
-        self.in_system[v] -= 1;
-        self.queued_work[v] -= demand;
-        self.in_system[thief] += 1;
-        self.queued_work[thief] += demand;
-        self.q[thief].push_back(j);
+        sv.in_system[v] -= 1;
+        sv.queued_work[v] -= demand;
+        sv.in_system[thief] += 1;
+        sv.queued_work[thief] += demand;
+        sv.prim_q[thief].push_back(j);
         self.tally.steals += 1;
         self.tally.stolen_work_us += demand;
         if self.traced {
@@ -996,16 +1043,16 @@ impl<Q: EventQueue<RackEv>> RackSim<'_, Q> {
     /// Event-clock gauges, sampled once per popped event when the tracer
     /// opted into time series.
     fn sample_gauges(&self, t: f64) {
-        let n = self.serving.len();
-        let busy = self.serving.iter().filter(|s| s.is_some()).count();
-        let in_flight: u32 = self.in_system.iter().sum();
+        let n = self.servers.serving.len();
+        let busy = self.servers.serving.iter().filter(|s| s.is_some()).count();
+        let in_flight: u32 = self.servers.in_system.iter().sum();
         let util = if self.clock > 0.0 {
             (self.delivered_us / (n as f64 * self.clock)).min(1.0)
         } else {
             0.0
         };
         let steals = self.tally.steals;
-        let depths = &self.in_system;
+        let depths = &self.servers.in_system;
         self.tracer.sample(|ts| {
             ts.observe("rack/busy_servers", t, busy as f64);
             ts.observe("rack/in_flight", t, f64::from(in_flight));
@@ -1282,6 +1329,50 @@ mod tests {
         )
         .expect_err("saturated");
         assert!(err.rho_estimate > 1.0);
+    }
+
+    #[test]
+    fn stale_history_is_pruned_at_record_time_on_a_large_farm() {
+        // Power-of-two probes 2 of 1024 servers per placement, so most
+        // servers go long stretches unprobed. Their histories must still
+        // stay bounded: pruned when they record, not when someone looks.
+        let delta = 8.0;
+        let servers = 1024;
+        let opts = ClusterOptions {
+            servers,
+            max_samples: 30_000,
+            warmup: 10_000,
+            seed: 53,
+            ..ClusterOptions::default()
+        };
+        let lambda = servers as f64 * 0.8;
+        let tracer = Tracer::disabled();
+        for plan in [
+            RackPlan::fresh().with_delta(delta),
+            RackPlan::fresh().with_delta(delta).with_steal(2),
+        ] {
+            let mut svc = exp_service(1.0);
+            let sim = run_rack(
+                HeapEventQueue::new(),
+                &mut svc,
+                BalancerPolicy::PowerOfD(2),
+                &plan,
+                &opts,
+                &tracer,
+                rng_from_seed(opts.seed),
+                Exponential::from_rate(lambda),
+            );
+            assert_eq!(sim.hist.len(), servers);
+            for (i, h) in sim.hist.iter().enumerate() {
+                let last = h.snaps.back().expect("every server saw work").t;
+                let recent = h.snaps.iter().filter(|s| s.t > last - delta).count();
+                assert!(
+                    h.snaps.len() <= recent + 1,
+                    "{plan}: server {i} holds {} snapshots, {recent} within Δ of its last",
+                    h.snaps.len()
+                );
+            }
+        }
     }
 
     #[test]
