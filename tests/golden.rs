@@ -19,12 +19,14 @@
 
 mod common;
 
+use duplexity::experiments::cluster_sweep::{cluster_sweep, ClusterSweepOptions};
 use duplexity::experiments::fault_sweep::{fault_sweep, FaultSweepOptions, FaultSweepPoint};
 use duplexity::experiments::fig5::{run_fig5, Fig5Cell, Fig5Options};
 use duplexity::experiments::fig6::{dyads_per_port, fig6, Fig6Cell};
 use duplexity::experiments::sweep::{latency_load_sweep, SweepOptions};
 use duplexity::experiments::tables::{table2_rows, Table2Row};
 use duplexity::{Design, Workload};
+use duplexity_queueing::cluster::BalancerPolicy;
 use duplexity_queueing::des::Mg1Options;
 
 /// Compares against `tests/golden/<name>.json` via the shared helper
@@ -146,6 +148,34 @@ fn fault_sweep_golden_fixture_round_trips_through_json() {
         assert_eq!(a.mean_attempts, b.mean_attempts);
         assert_eq!(a.drop_rate, b.drop_rate);
     }
+}
+
+/// 2 designs × 2 policies × 2 cluster sizes × 2 loads: pins the
+/// calibration, the per-cell seed derivation and the event engine of the
+/// cluster sweep.
+#[test]
+fn cluster_sweep_matches_golden() {
+    let points = cluster_sweep(&ClusterSweepOptions {
+        workload: Workload::McRouter,
+        designs: vec![Design::Baseline, Design::Duplexity],
+        policies: vec![BalancerPolicy::Random, BalancerPolicy::Jsq],
+        server_counts: vec![2, 4],
+        loads: vec![0.3, 0.6],
+        calibration_cycles: 500_000,
+        seed: 42,
+        queue: Mg1Options {
+            max_samples: 30_000,
+            warmup: 1_000,
+            ..Mg1Options::default()
+        },
+        ..ClusterSweepOptions::default()
+    });
+    assert_eq!(points.len(), 16);
+    assert!(
+        points.iter().all(|p| !p.saturated && p.p99_us.is_finite()),
+        "golden cluster grid must stay unsaturated so every float round-trips"
+    );
+    assert_matches_golden("cluster_sweep", &points);
 }
 
 #[test]
