@@ -145,9 +145,10 @@ struct EngineCoreBench {
     /// Hedged cell (`hedge10`): event heap vs event wheel.
     hedged: Vec<EngineTiming>,
     /// Wheel:heap throughput ratio over the combined cluster + hedged
-    /// work (total heap wall / total wheel wall) — a machine-relative
-    /// number (both runs share the process and inputs), so a committed
-    /// baseline of it travels across CI hosts.
+    /// work: the median over interleaved passes of the pass's heap wall
+    /// over its wheel wall — a machine-relative number (both sides share
+    /// the process, the inputs and the moment), so a committed baseline
+    /// of it travels across CI hosts.
     wheel_vs_heap_rps_ratio: f64,
     /// Hedged cell on the default event queue under power-of-two choices
     /// at the small farm's size and at `large_servers`.
@@ -250,11 +251,9 @@ fn value_as_f64(v: &Value) -> Option<f64> {
     }
 }
 
-/// Times one engine over the fixed benchmark cell and returns its
-/// requests/sec entry.
-#[allow(clippy::too_many_arguments)]
-fn time_engine(
-    label: &str,
+/// One timed pass of `engine` over the fixed benchmark cell: measured
+/// requests and wall seconds.
+fn engine_pass(
     engine: ClusterEngine,
     policy: BalancerPolicy,
     plan: &DuplicationPolicy,
@@ -262,7 +261,7 @@ fn time_engine(
     load: f64,
     samples: usize,
     seed: u64,
-) -> EngineTiming {
+) -> (u64, f64) {
     let mean_service = 2.0;
     let lambda = servers as f64 * load / mean_service;
     let opts = ClusterOptions {
@@ -279,49 +278,127 @@ fn time_engine(
         ..ClusterOptions::default()
     };
     let service = Exponential::new(mean_service);
-    // Best of three passes: the work is deterministic, so the fastest wall
-    // is the least scheduler-perturbed measurement (matters for the ratio
-    // the CI guard compares).
-    let mut requests = 0u64;
-    let mut wall_s = f64::INFINITY;
-    for _ in 0..3 {
-        let mut svc = |rng: &mut SimRng| service.sample(rng);
-        let mut balancer = policy.build();
-        let t = Instant::now();
-        requests = match engine {
-            ClusterEngine::Lindley => {
-                try_simulate_cluster(
-                    lambda,
-                    &mut svc,
-                    balancer.as_mut(),
-                    &opts,
-                    &Tracer::disabled(),
-                )
-                .expect("stable bench cell")
-                .samples as u64
-            }
-            ClusterEngine::Event(_) => {
-                try_simulate_cluster_hedged(
-                    lambda,
-                    &mut svc,
-                    balancer.as_mut(),
-                    plan,
-                    &opts,
-                    &Tracer::disabled(),
-                )
-                .expect("stable bench cell")
-                .cluster
-                .samples as u64
-            }
-        };
-        wall_s = wall_s.min(t.elapsed().as_secs_f64());
-    }
+    let mut svc = |rng: &mut SimRng| service.sample(rng);
+    let mut balancer = policy.build();
+    let t = Instant::now();
+    let requests = match engine {
+        ClusterEngine::Lindley => {
+            try_simulate_cluster(
+                lambda,
+                &mut svc,
+                balancer.as_mut(),
+                &opts,
+                &Tracer::disabled(),
+            )
+            .expect("stable bench cell")
+            .samples as u64
+        }
+        ClusterEngine::Event(_) => {
+            try_simulate_cluster_hedged(
+                lambda,
+                &mut svc,
+                balancer.as_mut(),
+                plan,
+                &opts,
+                &Tracer::disabled(),
+            )
+            .expect("stable bench cell")
+            .cluster
+            .samples as u64
+        }
+    };
+    (requests, t.elapsed().as_secs_f64())
+}
+
+/// The requests/sec entry of an engine from its pass walls: the work is
+/// deterministic, so the fastest wall is the least scheduler-perturbed
+/// measurement.
+fn engine_timing(label: &str, requests: u64, walls: &[f64]) -> EngineTiming {
+    let wall_s = walls.iter().copied().fold(f64::INFINITY, f64::min);
     EngineTiming {
         engine: label.to_string(),
         requests,
         wall_s,
         requests_per_sec: requests as f64 / wall_s.max(1e-12),
     }
+}
+
+/// Times one engine over the fixed benchmark cell, best of three passes.
+#[allow(clippy::too_many_arguments)]
+fn time_engine(
+    label: &str,
+    engine: ClusterEngine,
+    policy: BalancerPolicy,
+    plan: &DuplicationPolicy,
+    servers: usize,
+    load: f64,
+    samples: usize,
+    seed: u64,
+) -> EngineTiming {
+    let mut requests = 0;
+    let walls: Vec<f64> = (0..3)
+        .map(|_| {
+            let (r, wall) = engine_pass(engine, policy, plan, servers, load, samples, seed);
+            requests = r;
+            wall
+        })
+        .collect();
+    engine_timing(label, requests, &walls)
+}
+
+/// Paired heap/wheel passes behind the wheel:heap guard ratio.
+const PAIRED_PASSES: usize = 5;
+
+/// Times the heap and the wheel on the zero-duplication and the hedged
+/// cell in interleaved passes — heap then wheel on each cell, pass after
+/// pass — so a host slowdown lands on both sides of a pair. Returns the
+/// cluster and hedged entries (best pass each) and the wheel:heap
+/// throughput ratio: the median over passes of that pass's heap wall over
+/// its wheel wall, summed over both cells.
+fn time_heap_vs_wheel(
+    plans: [&DuplicationPolicy; 2],
+    servers: usize,
+    load: f64,
+    samples: usize,
+    seed: u64,
+) -> ([Vec<EngineTiming>; 2], f64) {
+    let kinds = [EventQueueKind::Heap, EventQueueKind::Wheel];
+    // passes[pass][cell][kind]: wall seconds.
+    let mut passes = Vec::with_capacity(PAIRED_PASSES);
+    let mut requests = [[0u64; 2]; 2];
+    for _ in 0..PAIRED_PASSES {
+        let mut pass = [[0.0; 2]; 2];
+        for (cell, plan) in plans.into_iter().enumerate() {
+            for (k, kind) in kinds.into_iter().enumerate() {
+                let engine = ClusterEngine::Event(kind);
+                let (r, wall) = engine_pass(
+                    engine,
+                    BalancerPolicy::Jsq,
+                    plan,
+                    servers,
+                    load,
+                    samples,
+                    seed,
+                );
+                requests[cell][k] = r;
+                pass[cell][k] = wall;
+            }
+        }
+        passes.push(pass);
+    }
+    let mut ratios: Vec<f64> = passes
+        .iter()
+        .map(|p| (p[0][0] + p[1][0]) / (p[0][1] + p[1][1]).max(1e-12))
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let walls = |cell: usize, k: usize| passes.iter().map(|p| p[cell][k]).collect::<Vec<f64>>();
+    let timings = [0, 1].map(|cell| {
+        vec![
+            engine_timing("event_heap", requests[cell][0], &walls(cell, 0)),
+            engine_timing("event_wheel", requests[cell][1], &walls(cell, 1)),
+        ]
+    });
+    (timings, ratios[PAIRED_PASSES / 2])
 }
 
 /// Times latency collection through the exact estimator and the streaming
@@ -545,70 +622,24 @@ fn main() {
     let eng_samples = if smoke { 200_000 } else { 400_000 };
     let none = DuplicationPolicy::none();
     let hedge_plan = DuplicationPolicy::hedge(10.0);
-    let cluster_runs = vec![
-        time_engine(
-            "lindley",
-            ClusterEngine::Lindley,
-            BalancerPolicy::Jsq,
-            &none,
-            eng_servers,
-            eng_load,
-            eng_samples,
-            seed,
-        ),
-        time_engine(
-            "event_heap",
-            ClusterEngine::Event(EventQueueKind::Heap),
-            BalancerPolicy::Jsq,
-            &none,
-            eng_servers,
-            eng_load,
-            eng_samples,
-            seed,
-        ),
-        time_engine(
-            "event_wheel",
-            ClusterEngine::Event(EventQueueKind::Wheel),
-            BalancerPolicy::Jsq,
-            &none,
-            eng_servers,
-            eng_load,
-            eng_samples,
-            seed,
-        ),
-    ];
-    let hedged_runs = vec![
-        time_engine(
-            "event_heap",
-            ClusterEngine::Event(EventQueueKind::Heap),
-            BalancerPolicy::Jsq,
-            &hedge_plan,
-            eng_servers,
-            eng_load,
-            eng_samples,
-            seed,
-        ),
-        time_engine(
-            "event_wheel",
-            ClusterEngine::Event(EventQueueKind::Wheel),
-            BalancerPolicy::Jsq,
-            &hedge_plan,
-            eng_servers,
-            eng_load,
-            eng_samples,
-            seed,
-        ),
-    ];
-    let total_wall = |runs: &[&[EngineTiming]], engine: &str| -> f64 {
-        runs.iter()
-            .flat_map(|r| r.iter())
-            .filter(|r| r.engine == engine)
-            .map(|r| r.wall_s)
-            .sum()
-    };
-    let both: [&[EngineTiming]; 2] = [&cluster_runs, &hedged_runs];
-    let wheel_vs_heap =
-        total_wall(&both, "event_heap") / total_wall(&both, "event_wheel").max(1e-12);
+    let lindley = time_engine(
+        "lindley",
+        ClusterEngine::Lindley,
+        BalancerPolicy::Jsq,
+        &none,
+        eng_servers,
+        eng_load,
+        eng_samples,
+        seed,
+    );
+    let ([mut cluster_runs, hedged_runs], wheel_vs_heap) = time_heap_vs_wheel(
+        [&none, &hedge_plan],
+        eng_servers,
+        eng_load,
+        eng_samples,
+        seed,
+    );
+    cluster_runs.insert(0, lindley);
     let large_servers = 1024;
     let farm_scale: Vec<EngineTiming> = [eng_servers, large_servers]
         .into_iter()

@@ -334,21 +334,26 @@ impl CellCache {
     #[must_use]
     pub fn probe<T>(&self, keys: &[CellKey], decode: impl Fn(&str) -> Option<T>) -> Vec<Option<T>> {
         keys.iter()
-            .map(|key| {
-                let payload = self.load(key)?;
-                let decoded = decode(&payload);
-                if decoded.is_none() {
-                    cache_warn(format_args!(
-                        "undecodable payload for {} (miss)",
-                        self.entry_path(key).display()
-                    ));
-                    // Reclassify the envelope-level hit.
-                    self.stats.hits.fetch_sub(1, Ordering::Relaxed);
-                    self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                }
-                decoded
-            })
+            .map(|key| self.probe_one(key, &decode))
             .collect()
+    }
+
+    /// [`CellCache::probe`] for one key: `Some` iff `key` hit *and* its
+    /// payload decoded.
+    #[must_use]
+    pub fn probe_one<T>(&self, key: &CellKey, decode: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+        let payload = self.load(key)?;
+        let decoded = decode(&payload);
+        if decoded.is_none() {
+            cache_warn(format_args!(
+                "undecodable payload for {} (miss)",
+                self.entry_path(key).display()
+            ));
+            // Reclassify the envelope-level hit.
+            self.stats.hits.fetch_sub(1, Ordering::Relaxed);
+            self.stats.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        decoded
     }
 
     /// Stores `payload` under `key` atomically (tmp-write + rename).

@@ -14,22 +14,23 @@
 //! pilot's typed [`Unstable`](duplexity_queueing::des::Unstable) verdict —
 //! render as `sat` instead of killing the grid.
 
-use crate::cellcache::{
-    assemble, miss_indices, CellCache, CellKey, Digest, PayloadReader, PayloadWriter,
-};
-use crate::exec::ExecPool;
-use crate::server::ServerSim;
+use crate::cellcache::{CellCache, CellKey, Digest, PayloadReader, PayloadWriter};
+use crate::experiments::grid::{cell_seed, lexicographic, validate_axes, CachedGrid};
 use duplexity_cpu::designs::Design;
-use duplexity_net::{EventKind, FaultPlan};
 use duplexity_obs::{log_enabled, log_line, Tracer};
 use duplexity_queueing::cluster::{
     merge_replications, try_simulate_cluster, try_simulate_cluster_hedged, BalancerPolicy,
     ClusterEngine, ClusterOptions, ClusterResult, DuplicationPolicy,
 };
 use duplexity_queueing::des::Mg1Options;
-use duplexity_stats::rng::{derive_stream, SimRng};
+use duplexity_stats::rng::SimRng;
+use duplexity_workloads::service::ServiceModel;
 use duplexity_workloads::Workload;
 use serde::{Deserialize, Serialize};
+
+/// Seed stream of the per-cell queueing seeds, shared with the rack sweep
+/// so a fresh rack plan reproduces cluster cells bitwise.
+pub(crate) const CELL_STREAM: u64 = 0xC105;
 
 /// Grid and fidelity parameters for the cluster sweep.
 #[derive(Debug, Clone)]
@@ -52,10 +53,6 @@ pub struct ClusterSweepOptions {
     pub seed: u64,
     /// Queueing controls (lifted per-cell to [`ClusterOptions`]).
     pub queue: Mg1Options,
-    /// Fault plan applied to each request's µs-scale stall leg
-    /// ([`FaultPlan::none`] reproduces the fault-free sample path
-    /// byte-for-byte).
-    pub fault: FaultPlan,
     /// Worker threads for calibrations and grid cells; `0` resolves
     /// `DUPLEXITY_THREADS` / available parallelism (see [`crate::exec`]).
     /// Results are bit-identical for every value.
@@ -96,7 +93,6 @@ impl Default for ClusterSweepOptions {
                 max_samples: 300_000,
                 ..Mg1Options::default()
             },
-            fault: FaultPlan::none(),
             threads: 0,
             engine: ClusterEngine::default(),
             replications: 1,
@@ -134,26 +130,29 @@ pub struct ClusterSweepPoint {
     pub saturated: bool,
 }
 
-fn saturated_point(
-    design: Design,
+/// One (design, policy, cluster size, load) cell; `design` indexes the
+/// design axis.
+struct Cell {
+    design: usize,
     policy: BalancerPolicy,
     servers: usize,
     load: f64,
-) -> ClusterSweepPoint {
-    ClusterSweepPoint {
-        design,
-        policy: policy.to_string(),
-        servers,
-        load,
-        p99_us: f64::INFINITY,
-        p50_us: f64::INFINITY,
-        mean_us: f64::INFINITY,
-        mean_wait_us: f64::INFINITY,
-        utilization: 1.0,
-        samples: 0,
-        converged: false,
-        saturated: true,
-    }
+}
+
+fn cells(opts: &ClusterSweepOptions) -> Vec<Cell> {
+    lexicographic([
+        opts.designs.len(),
+        opts.policies.len(),
+        opts.server_counts.len(),
+        opts.loads.len(),
+    ])
+    .map(|[d, p, n, l]| Cell {
+        design: d,
+        policy: opts.policies[p],
+        servers: opts.server_counts[n],
+        load: opts.loads[l],
+    })
+    .collect()
 }
 
 /// Content-addressed cache keys for every (design, policy, cluster size,
@@ -163,33 +162,26 @@ fn saturated_point(
 /// different results — but thread count is not.
 #[must_use]
 pub fn cell_keys(opts: &ClusterSweepOptions) -> Vec<CellKey> {
-    let mut keys = Vec::new();
-    for &design in &opts.designs {
-        for &policy in &opts.policies {
-            for &servers in &opts.server_counts {
-                for &load in &opts.loads {
-                    keys.push(CellKey::build("cluster_sweep", |w| {
-                        opts.workload.digest(w);
-                        design.digest(w);
-                        policy.digest(w);
-                        w.field_usize("servers", servers);
-                        w.field_f64("load", load);
-                        w.field_u64("calibration_cycles", opts.calibration_cycles);
-                        w.field_u64("seed", opts.seed);
-                        w.field("queue", &opts.queue);
-                        w.field("fault", &opts.fault);
-                        w.field("engine", &opts.engine);
-                        w.field_usize("replications", opts.replications.max(1));
-                    }));
-                }
-            }
-        }
-    }
-    keys
+    cells(opts)
+        .iter()
+        .map(|c| {
+            CellKey::build("cluster_sweep", |w| {
+                opts.workload.digest(w);
+                opts.designs[c.design].digest(w);
+                c.policy.digest(w);
+                w.field_usize("servers", c.servers);
+                w.field_f64("load", c.load);
+                w.field_u64("calibration_cycles", opts.calibration_cycles);
+                w.field_u64("seed", opts.seed);
+                w.field("queue", &opts.queue);
+                w.field("engine", &opts.engine);
+                w.field_usize("replications", opts.replications.max(1));
+            })
+        })
+        .collect()
 }
 
-fn encode_point(p: &ClusterSweepPoint) -> String {
-    let mut w = PayloadWriter::new();
+fn encode(p: &ClusterSweepPoint, w: &mut PayloadWriter) {
     w.f64("p99_us", p.p99_us);
     w.f64("p50_us", p.p50_us);
     w.f64("mean_us", p.mean_us);
@@ -198,25 +190,14 @@ fn encode_point(p: &ClusterSweepPoint) -> String {
     w.usize("samples", p.samples);
     w.bool("converged", p.converged);
     w.bool("saturated", p.saturated);
-    w.finish()
 }
 
-// Measured outputs only: the (design, policy, servers, load) coordinates
-// are rebuilt from the grid at assembly time.
-struct CachedPoint {
-    p99_us: f64,
-    p50_us: f64,
-    mean_us: f64,
-    mean_wait_us: f64,
-    utilization: f64,
-    samples: usize,
-    converged: bool,
-    saturated: bool,
-}
-
-fn decode_point(payload: &str) -> Option<CachedPoint> {
-    let mut r = PayloadReader::new(payload);
-    let p = CachedPoint {
+fn decode(
+    opts: &ClusterSweepOptions,
+    c: &Cell,
+    r: &mut PayloadReader,
+) -> Option<ClusterSweepPoint> {
+    Some(ClusterSweepPoint {
         p99_us: r.f64("p99_us")?,
         p50_us: r.f64("p50_us")?,
         mean_us: r.f64("mean_us")?,
@@ -225,8 +206,28 @@ fn decode_point(payload: &str) -> Option<CachedPoint> {
         samples: r.usize("samples")?,
         converged: r.bool("converged")?,
         saturated: r.bool("saturated")?,
-    };
-    r.done().then_some(p)
+        // The coordinates; every measured field is read above.
+        ..point(opts, c, None)
+    })
+}
+
+/// A farm cell's fault-free service, shared with the rack sweep: the
+/// workload's compute leg scaled by the design's `slowdown`, plus its
+/// stall leg, drawn compute first (the historical split-sampling stream).
+/// `None` when the cheap pre-guard finds the per-server `load` at or past
+/// 95% of capacity.
+pub(crate) fn farm_service(
+    model: &ServiceModel,
+    nominal_us: f64,
+    slowdown: f64,
+    load: f64,
+) -> Option<impl FnMut(&mut SimRng) -> f64 + '_> {
+    let scaled_mean = model.mean_compute_us() * slowdown + model.mean_stall_us();
+    if load / nominal_us * scaled_mean >= 0.95 {
+        return None;
+    }
+    let scaled = model.scale_compute(slowdown);
+    Some(move |rng: &mut SimRng| scaled.sample_compute(rng) + scaled.sample_stall(rng))
 }
 
 /// Runs the cluster sweep: one saturated calibration per design, then a
@@ -237,158 +238,59 @@ fn decode_point(payload: &str) -> Option<CachedPoint> {
 /// common random numbers across designs *and* policies — so for a given
 /// (load, cluster size) all policies see the same marked point process and
 /// the per-policy tail columns are paired comparisons. The grid is
-/// bit-identical under [`ExecPool`] at any worker count.
+/// bit-identical under [`ExecPool`](crate::exec::ExecPool) at any worker
+/// count.
 ///
 /// # Panics
 ///
 /// Panics if the options contain no loads, designs, policies, or server
-/// counts, contain a zero server count, or omit [`Design::Baseline`] (the
-/// slowdown reference).
+/// counts, contain a zero server count, omit [`Design::Baseline`] (the
+/// slowdown reference), or contain two distinct loads closer than 0.001
+/// (they would share a seed).
 #[must_use]
 pub fn cluster_sweep(opts: &ClusterSweepOptions) -> Vec<ClusterSweepPoint> {
-    assert!(
-        !opts.loads.is_empty()
-            && !opts.designs.is_empty()
-            && !opts.policies.is_empty()
-            && !opts.server_counts.is_empty(),
-        "empty cluster sweep"
-    );
-    assert!(
-        opts.designs.contains(&Design::Baseline),
-        "baseline required as the slowdown reference"
-    );
-    assert!(
-        opts.server_counts.iter().all(|&n| n >= 1),
-        "cluster sizes must be >= 1"
+    let cells = cells(opts);
+    validate_axes(
+        "cluster sweep",
+        cells.len(),
+        Some(&opts.designs),
+        &opts.server_counts,
+        &opts.loads,
     );
     let model = opts.workload.service_model();
     let nominal = opts.workload.nominal_service_us();
-    let stall = model.mean_stall_us();
 
-    let pool = ExecPool::new(opts.threads);
-
-    // Grid in (design, policy, servers, load) lexicographic order; each
-    // cell is independent so the pool slots are index-addressed.
-    let grid: Vec<(usize, usize, usize, f64)> = (0..opts.designs.len())
-        .flat_map(|di| {
-            let policies = &opts.policies;
-            let counts = &opts.server_counts;
-            let loads = &opts.loads;
-            (0..policies.len()).flat_map(move |pi| {
-                counts
-                    .iter()
-                    .flat_map(move |&n| loads.iter().map(move |&l| (di, pi, n, l)))
-            })
-        })
-        .collect();
-    let keys = cell_keys(opts);
-    let hits = match &opts.cache {
-        Some(cache) => cache.probe(&keys, decode_point),
-        None => grid.iter().map(|_| None).collect(),
-    };
-    let misses = miss_indices(&hits);
-
-    // Same calibration as the latency-load sweep: one saturated cycle sim
-    // per design, slowdown = compute inflation vs the baseline dyad. Only
-    // designs with a missed cell calibrate (plus the baseline, which
-    // anchors every slowdown): each calibration is a pure function of
-    // (design, workload, horizon, seed), so a subset run is bit-identical.
-    let saturated_service = |design: Design| -> Option<f64> {
-        let m = ServerSim::new(design, opts.workload)
-            .saturated()
-            .horizon_cycles(opts.calibration_cycles)
-            .seed(derive_stream(opts.seed, 0x53E9))
-            .run();
-        if m.request_latencies_us.len() < 10 {
-            return None;
-        }
-        Some(m.request_latencies_us.iter().sum::<f64>() / m.request_latencies_us.len() as f64)
-    };
-    let mut needed = vec![false; opts.designs.len()];
-    for &i in &misses {
-        needed[grid[i].0] = true;
-    }
-    let base_idx = opts
-        .designs
-        .iter()
-        .position(|&d| d == Design::Baseline)
-        .expect("asserted above");
-    if !misses.is_empty() {
-        needed[base_idx] = true;
-    }
-    let needed_idx: Vec<usize> = (0..opts.designs.len()).filter(|&i| needed[i]).collect();
-    let calibrated = pool.run("cluster_sweep/calibrate", needed_idx.len(), |j| {
-        saturated_service(opts.designs[needed_idx[j]])
-    });
-    let mut services: Vec<Option<f64>> = vec![None; opts.designs.len()];
-    for (j, &di) in needed_idx.iter().enumerate() {
-        services[di] = calibrated[j];
-    }
-    let base_service = services[base_idx];
-    let slowdowns: Vec<f64> = services
-        .iter()
-        .map(|mine| match (base_service, *mine) {
-            (Some(b), Some(m)) => {
-                let (bc, mc) = ((b - stall).max(0.05), (m - stall).max(0.05));
-                (mc / bc).clamp(1.0, 6.0)
-            }
-            _ => 1.0,
-        })
-        .collect();
-
-    // Replications flatten into the pool's work list (cell-major, so a
-    // cell's replications are contiguous and merge in replication order):
-    // ExecPool does not nest, and flattening is what lets a small grid
-    // with many replications use every worker. Only missed cells enter
-    // the work list.
-    let reps = opts.replications.max(1);
-    let rep_samples = opts.queue.max_samples.div_ceil(reps);
-    let runs: Vec<Option<ClusterResult>> =
-        pool.run("cluster_sweep/points", misses.len() * reps, |w| {
-            let (di, pi, servers, load) = grid[misses[w / reps]];
-            let rep = w % reps;
-            let policy = opts.policies[pi];
-            let slowdown = slowdowns[di];
+    let grid = CachedGrid::probe(
+        "cluster_sweep",
+        opts.threads,
+        cells,
+        cell_keys(opts),
+        opts.cache.as_ref(),
+        |c, r| decode(opts, c, r),
+    );
+    let slowdowns = grid.calibrate(
+        opts.workload,
+        &opts.designs,
+        opts.calibration_cycles,
+        opts.seed,
+        |c| c.design,
+    );
+    let points = grid.run(
+        opts.replications,
+        |c, rep| {
+            let mut service = farm_service(&model, nominal, slowdowns[c.design], c.load)?;
             // Aggregate arrivals scale with the farm: each server is offered
             // `load` of its nominal capacity.
-            let lambda = servers as f64 * load / nominal;
-            let scaled_mean =
-                model.mean_compute_us() * slowdown + opts.fault.effective_mean_bound_us(stall);
-            if load / nominal * scaled_mean >= 0.95 {
-                return None;
-            }
-            let scaled = model.scale_compute(slowdown);
-            let fault = opts.fault;
-            let mut service = |rng: &mut SimRng| {
-                // Split sampling keeps the identity plan's RNG stream identical
-                // to the historical `sample_parts` path (golden contract).
-                let c = scaled.sample_compute(rng);
-                if fault.is_none() {
-                    c + scaled.sample_stall(rng)
-                } else {
-                    c + fault
-                        .sample_event(EventKind::RemoteMemory, rng, |r| scaled.sample_stall(r))
-                        .latency_us
-                }
-            };
-            let mut copts = ClusterOptions::from_mg1(servers, &opts.queue);
-            copts.max_samples = rep_samples;
+            let lambda = c.servers as f64 * c.load / nominal;
+            let mut copts = ClusterOptions::from_mg1(c.servers, &opts.queue);
+            copts.max_samples = rep.samples(opts.queue.max_samples);
             // Common random numbers across designs and policies at a given
             // (load, cluster size): the marked point process is shared, and
             // each policy's private balancer stream is derived inside the
-            // simulator. A lone replication uses the cell seed directly (the
-            // historical stream); R > 1 derives per-replication sub-streams.
-            let cell_seed = derive_stream(
-                opts.seed,
-                0xC105 ^ ((load * 1000.0) as u64) ^ ((servers as u64) << 32),
-            );
-            copts.seed = if reps == 1 {
-                cell_seed
-            } else {
-                derive_stream(cell_seed, 1 + rep as u64)
-            };
-            let mut balancer = policy.build();
-            // The pre-guard above is a cheap bound; the DES pilot is the
+            // simulator.
+            copts.seed = cell_seed(opts.seed, CELL_STREAM, c.load, c.servers, rep);
+            let mut balancer = c.policy.build();
+            // The pre-guard is a cheap bound; the DES pilot is the
             // authoritative stability check, and its typed Unstable verdict
             // marks the cell saturated instead of killing the sweep.
             match opts.engine {
@@ -414,79 +316,11 @@ pub fn cluster_sweep(opts: &ClusterSweepOptions) -> Vec<ClusterSweepPoint> {
                     .map(|h| h.cluster)
                 }
             }
-        });
-
-    // Assemble missed cells from their replications (consumed cell-major,
-    // matching the flattened work list), write them back, then interleave
-    // with cached hits in grid order.
-    let mut run_iter = runs.into_iter();
-    let fresh: Vec<ClusterSweepPoint> = misses
-        .iter()
-        .map(|&i| {
-            let (di, pi, servers, load) = grid[i];
-            let design = opts.designs[di];
-            let policy = opts.policies[pi];
-            let mut parts = Vec::with_capacity(reps);
-            let mut saturated = false;
-            for _ in 0..reps {
-                match run_iter.next().expect("one run per (cell, replication)") {
-                    Some(r) => parts.push(r),
-                    None => saturated = true,
-                }
-            }
-            if saturated {
-                return saturated_point(design, policy, servers, load);
-            }
-            // A lone replication passes through untouched (bitwise the
-            // historical cell); pooled replications merge in replication
-            // order.
-            let r = if parts.len() == 1 {
-                parts.pop().expect("one replication")
-            } else {
-                merge_replications(parts, opts.queue.quantile, opts.queue.confidence)
-            };
-            ClusterSweepPoint {
-                design,
-                policy: policy.to_string(),
-                servers,
-                load,
-                p99_us: r.tail_us,
-                p50_us: r.p50_us,
-                mean_us: r.mean_sojourn_us,
-                mean_wait_us: r.mean_wait_us,
-                utilization: r.utilization,
-                samples: r.samples,
-                converged: r.converged,
-                saturated: false,
-            }
-        })
-        .collect();
-    if let Some(cache) = &opts.cache {
-        for (j, &i) in misses.iter().enumerate() {
-            cache.store(&keys[i], &encode_point(&fresh[j]));
-        }
-    }
-    let hit_points = hits
-        .into_iter()
-        .zip(&grid)
-        .map(|(hit, &(di, pi, servers, load))| {
-            hit.map(|c| ClusterSweepPoint {
-                design: opts.designs[di],
-                policy: opts.policies[pi].to_string(),
-                servers,
-                load,
-                p99_us: c.p99_us,
-                p50_us: c.p50_us,
-                mean_us: c.mean_us,
-                mean_wait_us: c.mean_wait_us,
-                utilization: c.utilization,
-                samples: c.samples,
-                converged: c.converged,
-                saturated: c.saturated,
-            })
-        })
-        .collect();
-    let points = assemble(hit_points, fresh);
+        },
+        |parts| merge_replications(parts, opts.queue.quantile, opts.queue.confidence),
+        |c, r| point(opts, c, r),
+        encode,
+    );
     if log_enabled() {
         let saturated = points.iter().filter(|p| p.saturated).count();
         log_line(&format!(
@@ -501,6 +335,26 @@ pub fn cluster_sweep(opts: &ClusterSweepOptions) -> Vec<ClusterSweepPoint> {
         ));
     }
     points
+}
+
+/// A cell's point from its merged result; a saturated cell (`None`) reads
+/// infinite latencies, full utilization and no samples.
+fn point(opts: &ClusterSweepOptions, c: &Cell, r: Option<ClusterResult>) -> ClusterSweepPoint {
+    let latency = |f: fn(&ClusterResult) -> f64| r.as_ref().map_or(f64::INFINITY, f);
+    ClusterSweepPoint {
+        design: opts.designs[c.design],
+        policy: c.policy.to_string(),
+        servers: c.servers,
+        load: c.load,
+        p99_us: latency(|r| r.tail_us),
+        p50_us: latency(|r| r.p50_us),
+        mean_us: latency(|r| r.mean_sojourn_us),
+        mean_wait_us: latency(|r| r.mean_wait_us),
+        utilization: r.as_ref().map_or(1.0, |r| r.utilization),
+        samples: r.as_ref().map_or(0, |r| r.samples),
+        converged: r.as_ref().is_some_and(|r| r.converged),
+        saturated: r.is_none(),
+    }
 }
 
 #[cfg(test)]
@@ -547,6 +401,14 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "loads 0.5 and 0.5004 share a seed")]
+    fn loads_closer_than_a_thousandth_are_rejected() {
+        let mut opts = quick_opts();
+        opts.loads = vec![0.5, 0.5004];
+        let _ = cluster_sweep(&opts);
     }
 
     #[test]

@@ -9,14 +9,12 @@
 //! through each [`FaultPlan`], using common random numbers per load so the
 //! per-policy tail columns isolate policy effects from sampling noise.
 
-use crate::cellcache::{
-    assemble, miss_indices, CellCache, CellKey, Digest, PayloadReader, PayloadWriter,
-};
-use crate::exec::ExecPool;
+use crate::cellcache::{CellCache, CellKey, Digest, PayloadReader, PayloadWriter};
+use crate::experiments::grid::{cell_seed, lexicographic, validate_axes, CachedGrid};
 use duplexity_net::{FaultPlan, RetryPolicy};
 use duplexity_obs::{log_enabled, log_line};
-use duplexity_queueing::des::{try_simulate_mg1_faulted, Mg1Options};
-use duplexity_stats::rng::{derive_stream, SimRng};
+use duplexity_queueing::des::{try_simulate_mg1_faulted, Mg1Options, Mg1Result};
+use duplexity_stats::rng::SimRng;
 use duplexity_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
@@ -141,30 +139,42 @@ pub struct FaultSweepPoint {
     pub saturated: bool,
 }
 
+/// One (policy, load) cell: the policy's index and the load.
+struct Cell {
+    policy: usize,
+    load: f64,
+}
+
+fn cells(opts: &FaultSweepOptions) -> Vec<Cell> {
+    lexicographic([opts.policies.len(), opts.loads.len()])
+        .map(|[p, l]| Cell {
+            policy: p,
+            load: opts.loads[l],
+        })
+        .collect()
+}
+
 /// Content-addressed cache keys for every (policy, load) cell of the
 /// fault-sweep grid, in the driver's policy-major evaluation order. The
 /// policy's *plan* is digested, not its display name: renaming a policy
 /// relabels cached cells without recomputing them.
 #[must_use]
 pub fn cell_keys(opts: &FaultSweepOptions) -> Vec<CellKey> {
-    opts.policies
+    cells(opts)
         .iter()
-        .flat_map(|policy| {
-            opts.loads.iter().map(move |&load| {
-                CellKey::build("fault_sweep", |w| {
-                    opts.workload.digest(w);
-                    policy.plan.digest(w);
-                    w.field_f64("load", load);
-                    w.field_u64("seed", opts.seed);
-                    w.field("queue", &opts.queue);
-                })
+        .map(|c| {
+            CellKey::build("fault_sweep", |w| {
+                opts.workload.digest(w);
+                opts.policies[c.policy].plan.digest(w);
+                w.field_f64("load", c.load);
+                w.field_u64("seed", opts.seed);
+                w.field("queue", &opts.queue);
             })
         })
         .collect()
 }
 
-fn encode_point(p: &FaultSweepPoint) -> String {
-    let mut w = PayloadWriter::new();
+fn encode(p: &FaultSweepPoint, w: &mut PayloadWriter) {
     w.f64("p50_us", p.p50_us);
     w.f64("p99_us", p.p99_us);
     w.f64("mean_us", p.mean_us);
@@ -172,29 +182,20 @@ fn encode_point(p: &FaultSweepPoint) -> String {
     w.f64("drop_rate", p.drop_rate);
     w.f64("fail_rate", p.fail_rate);
     w.bool("saturated", p.saturated);
-    w.finish()
 }
 
-// Measured outputs only: the (policy, load) coordinates are rebuilt from
-// the grid at assembly time.
-fn decode_point(payload: &str) -> Option<(f64, f64, f64, f64, f64, f64, bool)> {
-    let mut r = PayloadReader::new(payload);
-    let p50_us = r.f64("p50_us")?;
-    let p99_us = r.f64("p99_us")?;
-    let mean_us = r.f64("mean_us")?;
-    let mean_attempts = r.f64("mean_attempts")?;
-    let drop_rate = r.f64("drop_rate")?;
-    let fail_rate = r.f64("fail_rate")?;
-    let saturated = r.bool("saturated")?;
-    r.done().then_some((
-        p50_us,
-        p99_us,
-        mean_us,
-        mean_attempts,
-        drop_rate,
-        fail_rate,
-        saturated,
-    ))
+fn decode(opts: &FaultSweepOptions, c: &Cell, r: &mut PayloadReader) -> Option<FaultSweepPoint> {
+    Some(FaultSweepPoint {
+        policy: opts.policies[c.policy].name.clone(),
+        load: c.load,
+        p50_us: r.f64("p50_us")?,
+        p99_us: r.f64("p99_us")?,
+        mean_us: r.f64("mean_us")?,
+        mean_attempts: r.f64("mean_attempts")?,
+        drop_rate: r.f64("drop_rate")?,
+        fail_rate: r.f64("fail_rate")?,
+        saturated: r.bool("saturated")?,
+    })
 }
 
 /// Runs the fault sweep.
@@ -202,122 +203,77 @@ fn decode_point(payload: &str) -> Option<(f64, f64, f64, f64, f64, f64, bool)> {
 /// Every cell derives its queueing RNG from `(seed, load)` only — common
 /// random numbers across policies — so for a given load all policies see
 /// the same arrival process and raw leg-latency stream, and the grid is
-/// bit-identical under [`ExecPool`] at any worker count.
+/// bit-identical under [`ExecPool`](crate::exec::ExecPool) at any worker
+/// count.
 ///
 /// # Panics
 ///
-/// Panics if the options contain no loads or no policies.
+/// Panics if the options contain no loads or no policies, or two distinct
+/// loads closer than 0.001 (they would share a seed).
 #[must_use]
 pub fn fault_sweep(opts: &FaultSweepOptions) -> Vec<FaultSweepPoint> {
-    assert!(
-        !opts.loads.is_empty() && !opts.policies.is_empty(),
-        "empty fault sweep"
-    );
+    let cells = cells(opts);
+    validate_axes("fault sweep", cells.len(), None, &[], &opts.loads);
     let model = opts.workload.service_model();
     let leg = opts.workload.stall_leg();
     let nominal = opts.workload.nominal_service_us();
 
-    let pool = ExecPool::new(opts.threads);
-    let grid: Vec<(usize, f64)> = (0..opts.policies.len())
-        .flat_map(|pi| opts.loads.iter().map(move |&l| (pi, l)))
-        .collect();
-    let keys = cell_keys(opts);
-    let hits = match &opts.cache {
-        Some(cache) => cache.probe(&keys, decode_point),
-        None => grid.iter().map(|_| None).collect(),
-    };
-    let misses = miss_indices(&hits);
-    let fresh = pool.run("fault_sweep/points", misses.len(), |j| {
-        let (pi, load) = grid[misses[j]];
-        let policy = &opts.policies[pi];
-        let lambda = load / nominal;
-        // Saturation guard on a policy-agnostic upper bound of the
-        // effective service mean (timeouts, retries, degradation).
-        let effective_mean =
-            model.mean_compute_us() + policy.plan.effective_mean_bound_us(leg.mean_us());
-        if lambda * effective_mean >= 0.95 {
-            return FaultSweepPoint {
-                policy: policy.name.clone(),
-                load,
-                p50_us: f64::INFINITY,
-                p99_us: f64::INFINITY,
-                mean_us: f64::INFINITY,
-                mean_attempts: 0.0,
-                drop_rate: 0.0,
-                fail_rate: 0.0,
-                saturated: true,
+    let grid = CachedGrid::probe(
+        "fault_sweep",
+        opts.threads,
+        cells,
+        cell_keys(opts),
+        opts.cache.as_ref(),
+        |c, r| decode(opts, c, r),
+    );
+    let points = grid.run(
+        1,
+        |c, rep| {
+            let plan = &opts.policies[c.policy].plan;
+            let lambda = c.load / nominal;
+            // Saturation guard on a policy-agnostic upper bound of the
+            // effective service mean (timeouts, retries, degradation).
+            let effective_mean =
+                model.mean_compute_us() + plan.effective_mean_bound_us(leg.mean_us());
+            if lambda * effective_mean >= 0.95 {
+                return None;
+            }
+            let mut compute = |rng: &mut SimRng| model.sample_compute(rng);
+            let mut qopts = opts.queue;
+            // Common random numbers across policies at a given load.
+            qopts.seed = cell_seed(opts.seed, 0xFA17, c.load, 0, rep);
+            // The pre-guard above is a cheap bound; the pilot inside the DES
+            // is the authoritative stability check, and its typed Unstable
+            // verdict marks the cell saturated instead of killing the sweep.
+            try_simulate_mg1_faulted(lambda, &mut compute, &leg, plan, &qopts).ok()
+        },
+        |_| unreachable!("one replication per cell"),
+        |c, run| {
+            let latency =
+                |f: fn(&Mg1Result) -> f64| run.as_ref().map_or(f64::INFINITY, |(r, _)| f(r));
+            let (mean_attempts, drop_rate, fail_rate) = match &run {
+                None => (0.0, 0.0, 0.0),
+                Some((_, t)) if t.events == 0 => (1.0, 0.0, 0.0),
+                Some((_, t)) => (
+                    t.attempts as f64 / t.events as f64,
+                    t.dropped_legs as f64 / t.attempts.max(1) as f64,
+                    t.failed as f64 / t.events as f64,
+                ),
             };
-        }
-        let mut compute = |rng: &mut SimRng| model.sample_compute(rng);
-        let mut qopts = opts.queue;
-        // Common random numbers across policies at a given load.
-        qopts.seed = derive_stream(opts.seed, 0xFA17 ^ (load * 1000.0) as u64);
-        // The pre-guard above is a cheap bound; the pilot inside the DES is
-        // the authoritative stability check, and its typed Unstable verdict
-        // marks the cell saturated instead of killing the sweep.
-        let Ok((r, tally)) =
-            try_simulate_mg1_faulted(lambda, &mut compute, &leg, &policy.plan, &qopts)
-        else {
-            return FaultSweepPoint {
-                policy: policy.name.clone(),
-                load,
-                p50_us: f64::INFINITY,
-                p99_us: f64::INFINITY,
-                mean_us: f64::INFINITY,
-                mean_attempts: 0.0,
-                drop_rate: 0.0,
-                fail_rate: 0.0,
-                saturated: true,
-            };
-        };
-        let (mean_attempts, drop_rate, fail_rate) = if tally.events == 0 {
-            (1.0, 0.0, 0.0)
-        } else {
-            (
-                tally.attempts as f64 / tally.events as f64,
-                tally.dropped_legs as f64 / tally.attempts.max(1) as f64,
-                tally.failed as f64 / tally.events as f64,
-            )
-        };
-        FaultSweepPoint {
-            policy: policy.name.clone(),
-            load,
-            p50_us: r.p50_us,
-            p99_us: r.tail_us,
-            mean_us: r.mean_sojourn_us,
-            mean_attempts,
-            drop_rate,
-            fail_rate,
-            saturated: false,
-        }
-    });
-    if let Some(cache) = &opts.cache {
-        for (j, &i) in misses.iter().enumerate() {
-            cache.store(&keys[i], &encode_point(&fresh[j]));
-        }
-    }
-    let hit_points = hits
-        .into_iter()
-        .zip(&grid)
-        .map(|(hit, &(pi, load))| {
-            hit.map(
-                |(p50_us, p99_us, mean_us, mean_attempts, drop_rate, fail_rate, saturated)| {
-                    FaultSweepPoint {
-                        policy: opts.policies[pi].name.clone(),
-                        load,
-                        p50_us,
-                        p99_us,
-                        mean_us,
-                        mean_attempts,
-                        drop_rate,
-                        fail_rate,
-                        saturated,
-                    }
-                },
-            )
-        })
-        .collect();
-    let points = assemble(hit_points, fresh);
+            FaultSweepPoint {
+                policy: opts.policies[c.policy].name.clone(),
+                load: c.load,
+                p50_us: latency(|r| r.p50_us),
+                p99_us: latency(|r| r.tail_us),
+                mean_us: latency(|r| r.mean_sojourn_us),
+                mean_attempts,
+                drop_rate,
+                fail_rate,
+                saturated: run.is_none(),
+            }
+        },
+        encode,
+    );
     if log_enabled() {
         let saturated = points.iter().filter(|p| p.saturated).count();
         log_line(&format!(

@@ -20,18 +20,16 @@
 //! plans draw nothing from the duplicate stream, making `none` cells
 //! bitwise comparable to the undecorated balancer.
 
-use crate::cellcache::{
-    assemble, miss_indices, CellCache, CellKey, Digest, PayloadReader, PayloadWriter,
-};
-use crate::exec::ExecPool;
+use crate::cellcache::{CellCache, CellKey, Digest, PayloadReader, PayloadWriter};
+use crate::experiments::grid::{cell_seed, lexicographic, validate_axes, CachedGrid};
 use duplexity_obs::{log_enabled, log_line, Tracer};
 use duplexity_queueing::cluster::{
     merge_hedged_replications, try_simulate_cluster_hedged, BalancerPolicy, ClusterOptions,
-    DuplicationPolicy, HedgedClusterResult,
+    DupMode, DuplicationPolicy, HedgedClusterResult,
 };
 use duplexity_queueing::des::Mg1Options;
 use duplexity_queueing::eventcore::EventQueueKind;
-use duplexity_stats::rng::{derive_stream, SimRng};
+use duplexity_stats::rng::SimRng;
 use duplexity_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
@@ -66,7 +64,7 @@ pub struct HedgeSweepOptions {
     /// Future-event-set implementation for every cell's event engine.
     /// Heap and wheel are bit-identical under the `(t, kind, seq)`
     /// total-order contract (see `duplexity_queueing::eventcore`), so this
-    /// is a pure throughput knob; the bench uses it to race the two.
+    /// is a pure throughput knob and not part of a cell's cache key.
     pub event_queue: EventQueueKind,
     /// Independent replications per cell, run *within-cell parallel* on
     /// the pool (flattened into the grid's work list, exactly as
@@ -158,66 +156,57 @@ pub struct HedgeSweepPoint {
     pub saturated: bool,
 }
 
-fn saturated_point(
+/// One (policy, plan, cluster size, load) cell.
+struct Cell {
     policy: BalancerPolicy,
-    plan: &DuplicationPolicy,
+    plan: DuplicationPolicy,
     servers: usize,
     load: f64,
-) -> HedgeSweepPoint {
-    HedgeSweepPoint {
-        policy: policy.to_string(),
-        plan: plan.label(),
-        servers,
-        load,
-        p99_us: f64::INFINITY,
-        p50_us: f64::INFINITY,
-        mean_us: f64::INFINITY,
-        mean_wait_us: f64::INFINITY,
-        dup_mean_wait_us: f64::INFINITY,
-        utilization: 1.0,
-        added_utilization: 0.0,
-        dup_copies: 0,
-        hedges_fired: 0,
-        purged: 0,
-        wasted_completions: 0,
-        samples: 0,
-        converged: false,
-        saturated: true,
-    }
+}
+
+fn cells(opts: &HedgeSweepOptions) -> Vec<Cell> {
+    lexicographic([
+        opts.policies.len(),
+        opts.plans.len(),
+        opts.server_counts.len(),
+        opts.loads.len(),
+    ])
+    .map(|[p, q, n, l]| Cell {
+        policy: opts.policies[p],
+        plan: opts.plans[q],
+        servers: opts.server_counts[n],
+        load: opts.loads[l],
+    })
+    .collect()
 }
 
 /// Content-addressed cache keys for every (policy, plan, cluster size,
 /// load) cell of the hedge-sweep grid, in the driver's lexicographic
 /// evaluation order. The plan is digested structurally (mode, purge,
 /// priority), not by label; replication count is digested because it
-/// splits the sample budget and re-derives seeds.
+/// splits the sample budget and re-derives seeds. The event-queue kind is
+/// not: heap and wheel are bit-identical, so a speed knob cannot change a
+/// result.
 #[must_use]
 pub fn cell_keys(opts: &HedgeSweepOptions) -> Vec<CellKey> {
-    let mut keys = Vec::new();
-    for &policy in &opts.policies {
-        for &plan in &opts.plans {
-            for &servers in &opts.server_counts {
-                for &load in &opts.loads {
-                    keys.push(CellKey::build("hedge_sweep", |w| {
-                        opts.workload.digest(w);
-                        policy.digest(w);
-                        plan.digest(w);
-                        w.field_usize("servers", servers);
-                        w.field_f64("load", load);
-                        w.field_u64("seed", opts.seed);
-                        w.field("queue", &opts.queue);
-                        w.field("event_queue", &opts.event_queue);
-                        w.field_usize("replications", opts.replications.max(1));
-                    }));
-                }
-            }
-        }
-    }
-    keys
+    cells(opts)
+        .iter()
+        .map(|c| {
+            CellKey::build("hedge_sweep", |w| {
+                opts.workload.digest(w);
+                c.policy.digest(w);
+                c.plan.digest(w);
+                w.field_usize("servers", c.servers);
+                w.field_f64("load", c.load);
+                w.field_u64("seed", opts.seed);
+                w.field("queue", &opts.queue);
+                w.field_usize("replications", opts.replications.max(1));
+            })
+        })
+        .collect()
 }
 
-fn encode_point(p: &HedgeSweepPoint) -> String {
-    let mut w = PayloadWriter::new();
+fn encode(p: &HedgeSweepPoint, w: &mut PayloadWriter) {
     w.f64("p99_us", p.p99_us);
     w.f64("p50_us", p.p50_us);
     w.f64("mean_us", p.mean_us);
@@ -232,31 +221,10 @@ fn encode_point(p: &HedgeSweepPoint) -> String {
     w.usize("samples", p.samples);
     w.bool("converged", p.converged);
     w.bool("saturated", p.saturated);
-    w.finish()
 }
 
-// Measured outputs only: the (policy, plan, servers, load) coordinates
-// are rebuilt from the grid at assembly time.
-struct CachedPoint {
-    p99_us: f64,
-    p50_us: f64,
-    mean_us: f64,
-    mean_wait_us: f64,
-    dup_mean_wait_us: f64,
-    utilization: f64,
-    added_utilization: f64,
-    dup_copies: u64,
-    hedges_fired: u64,
-    purged: u64,
-    wasted_completions: u64,
-    samples: usize,
-    converged: bool,
-    saturated: bool,
-}
-
-fn decode_point(payload: &str) -> Option<CachedPoint> {
-    let mut r = PayloadReader::new(payload);
-    let p = CachedPoint {
+fn decode(c: &Cell, r: &mut PayloadReader) -> Option<HedgeSweepPoint> {
+    Some(HedgeSweepPoint {
         p99_us: r.f64("p99_us")?,
         p50_us: r.f64("p50_us")?,
         mean_us: r.f64("mean_us")?,
@@ -271,8 +239,9 @@ fn decode_point(payload: &str) -> Option<CachedPoint> {
         samples: r.usize("samples")?,
         converged: r.bool("converged")?,
         saturated: r.bool("saturated")?,
-    };
-    r.done().then_some(p)
+        // The coordinates; every measured field is read above.
+        ..point(c, None)
+    })
 }
 
 /// Runs the hedge sweep: one duplication-aware cluster simulation per
@@ -280,75 +249,47 @@ fn decode_point(payload: &str) -> Option<CachedPoint> {
 ///
 /// Cells derive their queueing seed from `(seed, load, servers)` only, so
 /// the policy and plan axes are paired comparisons over one shared marked
-/// point process; the grid is bit-identical under [`ExecPool`] at any
-/// worker count.
+/// point process; the grid is bit-identical under
+/// [`ExecPool`](crate::exec::ExecPool) at any worker count.
 ///
 /// # Panics
 ///
 /// Panics if the options contain no loads, policies, plans, or server
-/// counts, or contain a zero server count.
+/// counts, contain a zero server count, or contain two distinct loads
+/// closer than 0.001 (they would share a seed).
 #[must_use]
 pub fn hedge_sweep(opts: &HedgeSweepOptions) -> Vec<HedgeSweepPoint> {
-    assert!(
-        !opts.loads.is_empty()
-            && !opts.policies.is_empty()
-            && !opts.plans.is_empty()
-            && !opts.server_counts.is_empty(),
-        "empty hedge sweep"
-    );
-    assert!(
-        opts.server_counts.iter().all(|&n| n >= 1),
-        "cluster sizes must be >= 1"
+    let cells = cells(opts);
+    validate_axes(
+        "hedge sweep",
+        cells.len(),
+        None,
+        &opts.server_counts,
+        &opts.loads,
     );
     let model = opts.workload.service_model();
     let nominal = opts.workload.nominal_service_us();
     let mean_service = model.mean_compute_us() + model.mean_stall_us();
 
-    let pool = ExecPool::new(opts.threads);
-
-    // Grid in (policy, plan, servers, load) lexicographic order; each
-    // cell is independent so the pool slots are index-addressed.
-    let grid: Vec<(usize, usize, usize, f64)> = (0..opts.policies.len())
-        .flat_map(|pi| {
-            let plans = &opts.plans;
-            let counts = &opts.server_counts;
-            let loads = &opts.loads;
-            (0..plans.len()).flat_map(move |qi| {
-                counts
-                    .iter()
-                    .flat_map(move |&n| loads.iter().map(move |&l| (pi, qi, n, l)))
-            })
-        })
-        .collect();
-
-    let keys = cell_keys(opts);
-    let hits = match &opts.cache {
-        Some(cache) => cache.probe(&keys, decode_point),
-        None => grid.iter().map(|_| None).collect(),
-    };
-    let misses = miss_indices(&hits);
-
-    // Replications flatten into the pool's work list (cell-major, so a
-    // cell's replications are contiguous and merge in replication order),
-    // exactly as the cluster sweep does; only missed cells enter the list.
-    let reps = opts.replications.max(1);
-    let rep_samples = opts.queue.max_samples.div_ceil(reps);
-    let runs: Vec<Option<HedgedClusterResult>> =
-        pool.run("hedge_sweep/points", misses.len() * reps, |w| {
-            let (pi, qi, servers, load) = grid[misses[w / reps]];
-            let rep = w % reps;
-            let policy = opts.policies[pi];
-            let plan = opts.plans[qi];
-            let lambda = servers as f64 * load / nominal;
+    let grid = CachedGrid::probe(
+        "hedge_sweep",
+        opts.threads,
+        cells,
+        cell_keys(opts),
+        opts.cache.as_ref(),
+        decode,
+    );
+    let points = grid.run(
+        opts.replications,
+        |c, rep| {
+            let lambda = c.servers as f64 * c.load / nominal;
             // Cheap pre-guard mirroring the engine's pilot rule: an eager
             // no-purge plan must carry every copy to completion.
-            let eager_copies = match plan.mode {
-                duplexity_queueing::cluster::DupMode::Duplicate { copies } if !plan.purge => {
-                    copies as f64
-                }
+            let eager_copies = match c.plan.mode {
+                DupMode::Duplicate { copies } if !c.plan.purge => copies as f64,
                 _ => 1.0,
             };
-            if load / nominal * mean_service * eager_copies >= 0.95 {
+            if c.load / nominal * mean_service * eager_copies >= 0.95 {
                 return None;
             }
             let mut service = |rng: &mut SimRng| {
@@ -356,120 +297,25 @@ pub fn hedge_sweep(opts: &HedgeSweepOptions) -> Vec<HedgeSweepPoint> {
                 // fault-free path.
                 model.sample_compute(rng) + model.sample_stall(rng)
             };
-            let mut copts = ClusterOptions::from_mg1(servers, &opts.queue);
+            let mut copts = ClusterOptions::from_mg1(c.servers, &opts.queue);
             copts.event_queue = opts.event_queue;
-            copts.max_samples = rep_samples;
-            // A lone replication uses the cell seed directly (the
-            // historical stream); R > 1 derives per-replication
-            // sub-streams.
-            let cell_seed = derive_stream(
-                opts.seed,
-                HEDGE_CELL_STREAM ^ ((load * 1000.0) as u64) ^ ((servers as u64) << 32),
-            );
-            copts.seed = if reps == 1 {
-                cell_seed
-            } else {
-                derive_stream(cell_seed, 1 + rep as u64)
-            };
-            let mut balancer = policy.build();
+            copts.max_samples = rep.samples(opts.queue.max_samples);
+            copts.seed = cell_seed(opts.seed, HEDGE_CELL_STREAM, c.load, c.servers, rep);
+            let mut balancer = c.policy.build();
             try_simulate_cluster_hedged(
                 lambda,
                 &mut service,
                 balancer.as_mut(),
-                &plan,
+                &c.plan,
                 &copts,
                 &Tracer::disabled(),
             )
             .ok()
-        });
-
-    // Assemble missed cells from their replications (consumed cell-major,
-    // matching the flattened work list), write them back, then interleave
-    // with cached hits in grid order.
-    let mut run_iter = runs.into_iter();
-    let fresh: Vec<HedgeSweepPoint> = misses
-        .iter()
-        .map(|&i| {
-            let (pi, qi, servers, load) = grid[i];
-            let policy = opts.policies[pi];
-            let plan = opts.plans[qi];
-            let mut parts = Vec::with_capacity(reps);
-            let mut saturated = false;
-            for _ in 0..reps {
-                match run_iter.next().expect("one run per (cell, replication)") {
-                    Some(r) => parts.push(r),
-                    None => saturated = true,
-                }
-            }
-            if saturated {
-                return saturated_point(policy, &plan, servers, load);
-            }
-            // A lone replication passes through untouched (bitwise the
-            // historical cell); pooled replications merge in replication
-            // order.
-            let r = if parts.len() == 1 {
-                parts.pop().expect("one replication")
-            } else {
-                merge_hedged_replications(parts, opts.queue.quantile, opts.queue.confidence)
-            };
-            HedgeSweepPoint {
-                policy: policy.to_string(),
-                plan: plan.label(),
-                servers,
-                load,
-                p99_us: r.cluster.tail_us,
-                p50_us: r.cluster.p50_us,
-                mean_us: r.cluster.mean_sojourn_us,
-                mean_wait_us: r.cluster.mean_wait_us,
-                dup_mean_wait_us: if r.dup_wait.count() > 0 {
-                    r.dup_wait.mean()
-                } else {
-                    0.0
-                },
-                utilization: r.cluster.utilization,
-                added_utilization: r.added_utilization,
-                dup_copies: r.tally.dup_copies,
-                hedges_fired: r.tally.hedges_fired,
-                purged: r.tally.purged_queued + r.tally.purged_in_service,
-                wasted_completions: r.tally.wasted_completions,
-                samples: r.cluster.samples,
-                converged: r.cluster.converged,
-                saturated: false,
-            }
-        })
-        .collect();
-    if let Some(cache) = &opts.cache {
-        for (j, &i) in misses.iter().enumerate() {
-            cache.store(&keys[i], &encode_point(&fresh[j]));
-        }
-    }
-    let hit_points = hits
-        .into_iter()
-        .zip(&grid)
-        .map(|(hit, &(pi, qi, servers, load))| {
-            hit.map(|c| HedgeSweepPoint {
-                policy: opts.policies[pi].to_string(),
-                plan: opts.plans[qi].label(),
-                servers,
-                load,
-                p99_us: c.p99_us,
-                p50_us: c.p50_us,
-                mean_us: c.mean_us,
-                mean_wait_us: c.mean_wait_us,
-                dup_mean_wait_us: c.dup_mean_wait_us,
-                utilization: c.utilization,
-                added_utilization: c.added_utilization,
-                dup_copies: c.dup_copies,
-                hedges_fired: c.hedges_fired,
-                purged: c.purged,
-                wasted_completions: c.wasted_completions,
-                samples: c.samples,
-                converged: c.converged,
-                saturated: c.saturated,
-            })
-        })
-        .collect();
-    let points = assemble(hit_points, fresh);
+        },
+        |parts| merge_hedged_replications(parts, opts.queue.quantile, opts.queue.confidence),
+        point,
+        encode,
+    );
     if log_enabled() {
         let saturated = points.iter().filter(|p| p.saturated).count();
         log_line(&format!(
@@ -484,6 +330,40 @@ pub fn hedge_sweep(opts: &HedgeSweepOptions) -> Vec<HedgeSweepPoint> {
         ));
     }
     points
+}
+
+/// A cell's point from its merged result; a saturated cell (`None`) reads
+/// infinite latencies, full utilization and no duplicate work.
+fn point(c: &Cell, r: Option<HedgedClusterResult>) -> HedgeSweepPoint {
+    let latency = |f: fn(&HedgedClusterResult) -> f64| r.as_ref().map_or(f64::INFINITY, f);
+    let count = |f: fn(&HedgedClusterResult) -> u64| r.as_ref().map_or(0, f);
+    HedgeSweepPoint {
+        policy: c.policy.to_string(),
+        plan: c.plan.label(),
+        servers: c.servers,
+        load: c.load,
+        p99_us: latency(|r| r.cluster.tail_us),
+        p50_us: latency(|r| r.cluster.p50_us),
+        mean_us: latency(|r| r.cluster.mean_sojourn_us),
+        mean_wait_us: latency(|r| r.cluster.mean_wait_us),
+        // 0 when no duplicate reached service.
+        dup_mean_wait_us: latency(|r| {
+            if r.dup_wait.count() > 0 {
+                r.dup_wait.mean()
+            } else {
+                0.0
+            }
+        }),
+        utilization: r.as_ref().map_or(1.0, |r| r.cluster.utilization),
+        added_utilization: r.as_ref().map_or(0.0, |r| r.added_utilization),
+        dup_copies: count(|r| r.tally.dup_copies),
+        hedges_fired: count(|r| r.tally.hedges_fired),
+        purged: count(|r| r.tally.purged_queued + r.tally.purged_in_service),
+        wasted_completions: count(|r| r.tally.wasted_completions),
+        samples: r.as_ref().map_or(0, |r| r.cluster.samples),
+        converged: r.as_ref().is_some_and(|r| r.cluster.converged),
+        saturated: r.is_none(),
+    }
 }
 
 #[cfg(test)]

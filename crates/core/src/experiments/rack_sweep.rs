@@ -10,27 +10,23 @@
 //! signal staleness Δ, optional idle-server work stealing, centralized or
 //! distributed dispatch planes, and Zipf-skewed tenant traffic.
 //!
-//! The grid shares the cluster sweep's calibration (one saturated
-//! cycle-level run per design) *and* its per-cell seed derivation, so a
-//! fresh plan's cells — Δ=0, no stealing, single tenant — are bitwise
-//! identical to the corresponding [`cluster_sweep`] cells: the rack sweep
-//! strictly generalizes the cluster sweep without perturbing one golden
-//! byte.
+//! The grid runs on the shared [`grid`] driver with the cluster sweep's
+//! calibration, cell-seed stream and fault-free service, so a fresh plan's
+//! cells — Δ=0, no stealing, single tenant — are bitwise identical to the
+//! corresponding [`cluster_sweep`] cells: the rack sweep strictly
+//! generalizes the cluster sweep without perturbing one golden byte.
 //!
 //! [`cluster_sweep`]: crate::experiments::cluster_sweep
+//! [`grid`]: crate::experiments::grid
 
-use crate::cellcache::{
-    assemble, miss_indices, CellCache, CellKey, Digest, PayloadReader, PayloadWriter,
-};
-use crate::exec::ExecPool;
-use crate::server::ServerSim;
+use crate::cellcache::{CellCache, CellKey, Digest, PayloadReader, PayloadWriter};
+use crate::experiments::cluster_sweep::{farm_service, CELL_STREAM};
+use crate::experiments::grid::{cell_seed, lexicographic, validate_axes, CachedGrid};
 use duplexity_cpu::designs::Design;
 use duplexity_obs::{log_enabled, log_line, Tracer};
 use duplexity_queueing::cluster::{BalancerPolicy, ClusterOptions};
 use duplexity_queueing::des::Mg1Options;
-use duplexity_queueing::eventcore::EventQueueKind;
 use duplexity_queueing::rack::{merge_rack_replications, try_simulate_rack, RackPlan, RackResult};
-use duplexity_stats::rng::{derive_stream, SimRng};
 use duplexity_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
@@ -61,10 +57,6 @@ pub struct RackSweepOptions {
     /// Worker threads; `0` resolves `DUPLEXITY_THREADS` / available
     /// parallelism. Results are bit-identical for every value.
     pub threads: usize,
-    /// Event queue driving each cell (heap and wheel are bit-identical by
-    /// the eventcore contract, so this is a speed knob, not a digested
-    /// input).
-    pub event_queue: EventQueueKind,
     /// Independent replications per cell, flattened into the pool's work
     /// list and merged in replication order (same contract as the cluster
     /// sweep).
@@ -98,7 +90,6 @@ impl Default for RackSweepOptions {
                 ..Mg1Options::default()
             },
             threads: 0,
-            event_queue: EventQueueKind::default(),
             replications: 1,
             cache: None,
         }
@@ -147,33 +138,32 @@ pub struct RackSweepPoint {
     pub saturated: bool,
 }
 
-fn saturated_point(
-    design: Design,
+/// One (design, policy, plan, cluster size, load) cell; `design` and
+/// `plan` index their axes.
+struct Cell {
+    design: usize,
     policy: BalancerPolicy,
-    plan: &RackPlan,
+    plan: usize,
     servers: usize,
     load: f64,
-) -> RackSweepPoint {
-    RackSweepPoint {
-        design,
-        policy: policy.to_string(),
-        plan: plan.label(),
-        coordination: plan.coordination.label(),
-        delta_us: plan.delta_us,
-        servers,
-        load,
-        p99_us: f64::INFINITY,
-        p50_us: f64::INFINITY,
-        mean_us: f64::INFINITY,
-        mean_wait_us: f64::INFINITY,
-        hot_p99_us: f64::INFINITY,
-        utilization: 1.0,
-        steals: 0,
-        steals_empty: 0,
-        samples: 0,
-        converged: false,
-        saturated: true,
-    }
+}
+
+fn cells(opts: &RackSweepOptions) -> Vec<Cell> {
+    lexicographic([
+        opts.designs.len(),
+        opts.policies.len(),
+        opts.plans.len(),
+        opts.server_counts.len(),
+        opts.loads.len(),
+    ])
+    .map(|[d, p, q, n, l]| Cell {
+        design: d,
+        policy: opts.policies[p],
+        plan: q,
+        servers: opts.server_counts[n],
+        load: opts.loads[l],
+    })
+    .collect()
 }
 
 /// Content-addressed cache keys for every cell of the rack-sweep grid, in
@@ -182,39 +172,29 @@ fn saturated_point(
 /// Digested: workload, design, policy, the full rack plan (coordination,
 /// Δ, steal policy, tenants, skew), cluster size, load, calibration
 /// horizon, seed, queue controls, and the replication count. Deliberately
-/// **excluded**: the event-queue kind (heap and wheel are bit-identical by
-/// the eventcore contract — a speed knob cannot change a result) and the
-/// resolved thread count.
+/// **excluded**: the resolved thread count.
 #[must_use]
 pub fn cell_keys(opts: &RackSweepOptions) -> Vec<CellKey> {
-    let mut keys = Vec::new();
-    for &design in &opts.designs {
-        for &policy in &opts.policies {
-            for plan in &opts.plans {
-                for &servers in &opts.server_counts {
-                    for &load in &opts.loads {
-                        keys.push(CellKey::build("rack_sweep", |w| {
-                            opts.workload.digest(w);
-                            design.digest(w);
-                            policy.digest(w);
-                            plan.digest(w);
-                            w.field_usize("servers", servers);
-                            w.field_f64("load", load);
-                            w.field_u64("calibration_cycles", opts.calibration_cycles);
-                            w.field_u64("seed", opts.seed);
-                            w.field("queue", &opts.queue);
-                            w.field_usize("replications", opts.replications.max(1));
-                        }));
-                    }
-                }
-            }
-        }
-    }
-    keys
+    cells(opts)
+        .iter()
+        .map(|c| {
+            CellKey::build("rack_sweep", |w| {
+                opts.workload.digest(w);
+                opts.designs[c.design].digest(w);
+                c.policy.digest(w);
+                opts.plans[c.plan].digest(w);
+                w.field_usize("servers", c.servers);
+                w.field_f64("load", c.load);
+                w.field_u64("calibration_cycles", opts.calibration_cycles);
+                w.field_u64("seed", opts.seed);
+                w.field("queue", &opts.queue);
+                w.field_usize("replications", opts.replications.max(1));
+            })
+        })
+        .collect()
 }
 
-fn encode_point(p: &RackSweepPoint) -> String {
-    let mut w = PayloadWriter::new();
+fn encode(p: &RackSweepPoint, w: &mut PayloadWriter) {
     w.f64("p99_us", p.p99_us);
     w.f64("p50_us", p.p50_us);
     w.f64("mean_us", p.mean_us);
@@ -226,28 +206,10 @@ fn encode_point(p: &RackSweepPoint) -> String {
     w.usize("samples", p.samples);
     w.bool("converged", p.converged);
     w.bool("saturated", p.saturated);
-    w.finish()
 }
 
-// Measured outputs only: the grid coordinates (and the plan's labels) are
-// rebuilt from the options at assembly time.
-struct CachedPoint {
-    p99_us: f64,
-    p50_us: f64,
-    mean_us: f64,
-    mean_wait_us: f64,
-    hot_p99_us: f64,
-    utilization: f64,
-    steals: u64,
-    steals_empty: u64,
-    samples: usize,
-    converged: bool,
-    saturated: bool,
-}
-
-fn decode_point(payload: &str) -> Option<CachedPoint> {
-    let mut r = PayloadReader::new(payload);
-    let p = CachedPoint {
+fn decode(opts: &RackSweepOptions, c: &Cell, r: &mut PayloadReader) -> Option<RackSweepPoint> {
+    Some(RackSweepPoint {
         p99_us: r.f64("p99_us")?,
         p50_us: r.f64("p50_us")?,
         mean_us: r.f64("mean_us")?,
@@ -259,252 +221,78 @@ fn decode_point(payload: &str) -> Option<CachedPoint> {
         samples: r.usize("samples")?,
         converged: r.bool("converged")?,
         saturated: r.bool("saturated")?,
-    };
-    r.done().then_some(p)
+        // The coordinates; every measured field is read above.
+        ..point(opts, c, None)
+    })
 }
 
 /// Runs the rack sweep: one saturated calibration per design, then a rack
 /// simulation per (design, policy, plan, cluster size, load) cell.
 ///
-/// Per-cell seeds use the cluster sweep's exact derivation —
-/// `derive_stream(seed, 0xC105 ^ load-bits ^ servers-bits)` — so cells
-/// are common-random-number comparable across designs, policies, *and*
-/// plans, and a fresh plan's cells reproduce [`cluster_sweep`] cells
-/// bitwise. Bit-identical under [`ExecPool`] at any worker count.
+/// Per-cell seeds use the cluster sweep's seed stream, so cells are
+/// common-random-number comparable across designs, policies, *and* plans,
+/// and a fresh plan's cells reproduce [`cluster_sweep`] cells bitwise.
+/// Bit-identical under [`ExecPool`](crate::exec::ExecPool) at any worker
+/// count.
 ///
 /// [`cluster_sweep`]: crate::experiments::cluster_sweep::cluster_sweep
 ///
 /// # Panics
 ///
 /// Panics if the options contain no loads, designs, policies, plans, or
-/// server counts, contain a zero server count, or omit
-/// [`Design::Baseline`] (the slowdown reference).
+/// server counts, contain a zero server count, omit [`Design::Baseline`]
+/// (the slowdown reference), or contain two distinct loads closer than
+/// 0.001 (they would share a seed).
 #[must_use]
 pub fn rack_sweep(opts: &RackSweepOptions) -> Vec<RackSweepPoint> {
-    assert!(
-        !opts.loads.is_empty()
-            && !opts.designs.is_empty()
-            && !opts.policies.is_empty()
-            && !opts.plans.is_empty()
-            && !opts.server_counts.is_empty(),
-        "empty rack sweep"
-    );
-    assert!(
-        opts.designs.contains(&Design::Baseline),
-        "baseline required as the slowdown reference"
-    );
-    assert!(
-        opts.server_counts.iter().all(|&n| n >= 1),
-        "cluster sizes must be >= 1"
+    let cells = cells(opts);
+    validate_axes(
+        "rack sweep",
+        cells.len(),
+        Some(&opts.designs),
+        &opts.server_counts,
+        &opts.loads,
     );
     let model = opts.workload.service_model();
     let nominal = opts.workload.nominal_service_us();
-    let stall = model.mean_stall_us();
 
-    let pool = ExecPool::new(opts.threads);
-
-    // Grid in (design, policy, plan, servers, load) lexicographic order.
-    let grid: Vec<(usize, usize, usize, usize, f64)> = (0..opts.designs.len())
-        .flat_map(|di| {
-            let policies = &opts.policies;
-            let plans = &opts.plans;
-            let counts = &opts.server_counts;
-            let loads = &opts.loads;
-            (0..policies.len()).flat_map(move |pi| {
-                (0..plans.len()).flat_map(move |li| {
-                    counts
-                        .iter()
-                        .flat_map(move |&n| loads.iter().map(move |&l| (di, pi, li, n, l)))
-                })
-            })
-        })
-        .collect();
-    let keys = cell_keys(opts);
-    let hits = match &opts.cache {
-        Some(cache) => cache.probe(&keys, decode_point),
-        None => grid.iter().map(|_| None).collect(),
-    };
-    let misses = miss_indices(&hits);
-
-    // The cluster sweep's calibration verbatim: one saturated cycle sim
-    // per design (stream 0x53E9), baseline anchors every slowdown, and
-    // only designs with a missed cell pay for it.
-    let saturated_service = |design: Design| -> Option<f64> {
-        let m = ServerSim::new(design, opts.workload)
-            .saturated()
-            .horizon_cycles(opts.calibration_cycles)
-            .seed(derive_stream(opts.seed, 0x53E9))
-            .run();
-        if m.request_latencies_us.len() < 10 {
-            return None;
-        }
-        Some(m.request_latencies_us.iter().sum::<f64>() / m.request_latencies_us.len() as f64)
-    };
-    let mut needed = vec![false; opts.designs.len()];
-    for &i in &misses {
-        needed[grid[i].0] = true;
-    }
-    let base_idx = opts
-        .designs
-        .iter()
-        .position(|&d| d == Design::Baseline)
-        .expect("asserted above");
-    if !misses.is_empty() {
-        needed[base_idx] = true;
-    }
-    let needed_idx: Vec<usize> = (0..opts.designs.len()).filter(|&i| needed[i]).collect();
-    let calibrated = pool.run("rack_sweep/calibrate", needed_idx.len(), |j| {
-        saturated_service(opts.designs[needed_idx[j]])
-    });
-    let mut services: Vec<Option<f64>> = vec![None; opts.designs.len()];
-    for (j, &di) in needed_idx.iter().enumerate() {
-        services[di] = calibrated[j];
-    }
-    let base_service = services[base_idx];
-    let slowdowns: Vec<f64> = services
-        .iter()
-        .map(|mine| match (base_service, *mine) {
-            (Some(b), Some(m)) => {
-                let (bc, mc) = ((b - stall).max(0.05), (m - stall).max(0.05));
-                (mc / bc).clamp(1.0, 6.0)
-            }
-            _ => 1.0,
-        })
-        .collect();
-
-    // Replications flatten cell-major into the pool's work list, exactly
-    // as in the cluster sweep. Only missed cells enter.
-    let reps = opts.replications.max(1);
-    let rep_samples = opts.queue.max_samples.div_ceil(reps);
-    let runs: Vec<Option<RackResult>> = pool.run("rack_sweep/points", misses.len() * reps, |w| {
-        let (di, pi, li, servers, load) = grid[misses[w / reps]];
-        let rep = w % reps;
-        let policy = opts.policies[pi];
-        let plan = &opts.plans[li];
-        let slowdown = slowdowns[di];
-        let lambda = servers as f64 * load / nominal;
-        // The cluster sweep's fault-free pre-guard: mean service is the
-        // scaled compute leg plus the (fault-free) stall leg.
-        let scaled_mean = model.mean_compute_us() * slowdown + stall;
-        if load / nominal * scaled_mean >= 0.95 {
-            return None;
-        }
-        let scaled = model.scale_compute(slowdown);
-        // The cluster sweep's fault-free service closure: split sampling
-        // keeps the RNG stream identical to the historical path, which is
-        // what makes fresh-plan cells reproduce cluster cells bitwise.
-        let mut service = |rng: &mut SimRng| scaled.sample_compute(rng) + scaled.sample_stall(rng);
-        let mut copts = ClusterOptions::from_mg1(servers, &opts.queue);
-        copts.max_samples = rep_samples;
-        copts.event_queue = opts.event_queue;
-        // The cluster sweep's cell-seed derivation verbatim: common random
-        // numbers across designs, policies, and plans at a given (load,
-        // cluster size).
-        let cell_seed = derive_stream(
-            opts.seed,
-            0xC105 ^ ((load * 1000.0) as u64) ^ ((servers as u64) << 32),
-        );
-        copts.seed = if reps == 1 {
-            cell_seed
-        } else {
-            derive_stream(cell_seed, 1 + rep as u64)
-        };
-        try_simulate_rack(
-            lambda,
-            &mut service,
-            policy,
-            plan,
-            &copts,
-            &Tracer::disabled(),
-        )
-        .ok()
-    });
-
-    // Assemble missed cells cell-major, write back, interleave with hits.
-    let mut run_iter = runs.into_iter();
-    let fresh: Vec<RackSweepPoint> = misses
-        .iter()
-        .map(|&i| {
-            let (di, pi, li, servers, load) = grid[i];
-            let design = opts.designs[di];
-            let policy = opts.policies[pi];
-            let plan = &opts.plans[li];
-            let mut parts = Vec::with_capacity(reps);
-            let mut saturated = false;
-            for _ in 0..reps {
-                match run_iter.next().expect("one run per (cell, replication)") {
-                    Some(r) => parts.push(r),
-                    None => saturated = true,
-                }
-            }
-            if saturated {
-                return saturated_point(design, policy, plan, servers, load);
-            }
-            let r = if parts.len() == 1 {
-                parts.pop().expect("one replication")
-            } else {
-                merge_rack_replications(parts, opts.queue.quantile, opts.queue.confidence)
-            };
-            // Single-tenant plans put every sample in the hot sketch, so
-            // the hot tail degenerates to the overall sketch tail.
-            let hot_p99 = r.hot_sketch.quantile(0.99).unwrap_or(0.0);
-            RackSweepPoint {
-                design,
-                policy: policy.to_string(),
-                plan: plan.label(),
-                coordination: plan.coordination.label(),
-                delta_us: plan.delta_us,
-                servers,
-                load,
-                p99_us: r.cluster.tail_us,
-                p50_us: r.cluster.p50_us,
-                mean_us: r.cluster.mean_sojourn_us,
-                mean_wait_us: r.cluster.mean_wait_us,
-                hot_p99_us: hot_p99,
-                utilization: r.cluster.utilization,
-                steals: r.tally.steals,
-                steals_empty: r.tally.steals_empty,
-                samples: r.cluster.samples,
-                converged: r.cluster.converged,
-                saturated: false,
-            }
-        })
-        .collect();
-    if let Some(cache) = &opts.cache {
-        for (j, &i) in misses.iter().enumerate() {
-            cache.store(&keys[i], &encode_point(&fresh[j]));
-        }
-    }
-    let hit_points = hits
-        .into_iter()
-        .zip(&grid)
-        .map(|(hit, &(di, pi, li, servers, load))| {
-            hit.map(|c| {
-                let plan = &opts.plans[li];
-                RackSweepPoint {
-                    design: opts.designs[di],
-                    policy: opts.policies[pi].to_string(),
-                    plan: plan.label(),
-                    coordination: plan.coordination.label(),
-                    delta_us: plan.delta_us,
-                    servers,
-                    load,
-                    p99_us: c.p99_us,
-                    p50_us: c.p50_us,
-                    mean_us: c.mean_us,
-                    mean_wait_us: c.mean_wait_us,
-                    hot_p99_us: c.hot_p99_us,
-                    utilization: c.utilization,
-                    steals: c.steals,
-                    steals_empty: c.steals_empty,
-                    samples: c.samples,
-                    converged: c.converged,
-                    saturated: c.saturated,
-                }
-            })
-        })
-        .collect();
-    let points = assemble(hit_points, fresh);
+    let grid = CachedGrid::probe(
+        "rack_sweep",
+        opts.threads,
+        cells,
+        cell_keys(opts),
+        opts.cache.as_ref(),
+        |c, r| decode(opts, c, r),
+    );
+    let slowdowns = grid.calibrate(
+        opts.workload,
+        &opts.designs,
+        opts.calibration_cycles,
+        opts.seed,
+        |c| c.design,
+    );
+    let points = grid.run(
+        opts.replications,
+        |c, rep| {
+            let mut service = farm_service(&model, nominal, slowdowns[c.design], c.load)?;
+            let lambda = c.servers as f64 * c.load / nominal;
+            let mut copts = ClusterOptions::from_mg1(c.servers, &opts.queue);
+            copts.max_samples = rep.samples(opts.queue.max_samples);
+            copts.seed = cell_seed(opts.seed, CELL_STREAM, c.load, c.servers, rep);
+            try_simulate_rack(
+                lambda,
+                &mut service,
+                c.policy,
+                &opts.plans[c.plan],
+                &copts,
+                &Tracer::disabled(),
+            )
+            .ok()
+        },
+        |parts| merge_rack_replications(parts, opts.queue.quantile, opts.queue.confidence),
+        |c, r| point(opts, c, r),
+        encode,
+    );
     if log_enabled() {
         let saturated = points.iter().filter(|p| p.saturated).count();
         log_line(&format!(
@@ -520,6 +308,35 @@ pub fn rack_sweep(opts: &RackSweepOptions) -> Vec<RackSweepPoint> {
         ));
     }
     points
+}
+
+/// A cell's point from its merged result; a saturated cell (`None`) reads
+/// infinite latencies, full utilization and no steals.
+fn point(opts: &RackSweepOptions, c: &Cell, r: Option<RackResult>) -> RackSweepPoint {
+    let plan = &opts.plans[c.plan];
+    let latency = |f: fn(&RackResult) -> f64| r.as_ref().map_or(f64::INFINITY, f);
+    RackSweepPoint {
+        design: opts.designs[c.design],
+        policy: c.policy.to_string(),
+        plan: plan.label(),
+        coordination: plan.coordination.label(),
+        delta_us: plan.delta_us,
+        servers: c.servers,
+        load: c.load,
+        p99_us: latency(|r| r.cluster.tail_us),
+        p50_us: latency(|r| r.cluster.p50_us),
+        mean_us: latency(|r| r.cluster.mean_sojourn_us),
+        mean_wait_us: latency(|r| r.cluster.mean_wait_us),
+        // Single-tenant plans put every sample in the hot sketch, so the
+        // hot tail degenerates to the overall sketch tail.
+        hot_p99_us: latency(|r| r.hot_sketch.quantile(0.99).unwrap_or(0.0)),
+        utilization: r.as_ref().map_or(1.0, |r| r.cluster.utilization),
+        steals: r.as_ref().map_or(0, |r| r.tally.steals),
+        steals_empty: r.as_ref().map_or(0, |r| r.tally.steals_empty),
+        samples: r.as_ref().map_or(0, |r| r.cluster.samples),
+        converged: r.as_ref().is_some_and(|r| r.cluster.converged),
+        saturated: r.is_none(),
+    }
 }
 
 #[cfg(test)]

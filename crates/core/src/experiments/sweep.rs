@@ -7,16 +7,13 @@
 //! each design's **SLO capacity** — the highest load whose p99 stays within
 //! budget.
 
-use crate::cellcache::{
-    assemble, miss_indices, CellCache, CellKey, Digest, PayloadReader, PayloadWriter,
-};
-use crate::exec::ExecPool;
-use crate::server::ServerSim;
+use crate::cellcache::{CellCache, CellKey, Digest, PayloadReader, PayloadWriter};
+use crate::experiments::grid::{cell_seed, lexicographic, validate_axes, CachedGrid};
 use duplexity_cpu::designs::Design;
 use duplexity_net::{EventKind, FaultPlan};
 use duplexity_obs::{log_enabled, log_line};
 use duplexity_queueing::des::{try_simulate_mg1, Mg1Options};
-use duplexity_stats::rng::{derive_stream, SimRng};
+use duplexity_stats::rng::SimRng;
 use duplexity_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
@@ -83,6 +80,21 @@ pub struct SweepPoint {
     pub saturated: bool,
 }
 
+/// One (design, load) cell: the design's index and the load.
+struct Cell {
+    design: usize,
+    load: f64,
+}
+
+fn cells(opts: &SweepOptions) -> Vec<Cell> {
+    lexicographic([opts.designs.len(), opts.loads.len()])
+        .map(|[d, l]| Cell {
+            design: d,
+            load: opts.loads[l],
+        })
+        .collect()
+}
+
 /// Content-addressed cache keys for every (design, load) cell of the
 /// sweep grid, in the driver's design-major evaluation order. A cell's
 /// key digests everything its value depends on — workload, design, load,
@@ -91,196 +103,111 @@ pub struct SweepPoint {
 /// overlapping cells.
 #[must_use]
 pub fn cell_keys(opts: &SweepOptions) -> Vec<CellKey> {
-    opts.designs
+    cells(opts)
         .iter()
-        .flat_map(|&design| {
-            opts.loads.iter().map(move |&load| {
-                CellKey::build("sweep", |w| {
-                    opts.workload.digest(w);
-                    design.digest(w);
-                    w.field_f64("load", load);
-                    w.field_u64("calibration_cycles", opts.calibration_cycles);
-                    w.field_u64("seed", opts.seed);
-                    w.field("queue", &opts.queue);
-                    w.field("fault", &opts.fault);
-                })
+        .map(|c| {
+            CellKey::build("sweep", |w| {
+                opts.workload.digest(w);
+                opts.designs[c.design].digest(w);
+                w.field_f64("load", c.load);
+                w.field_u64("calibration_cycles", opts.calibration_cycles);
+                w.field_u64("seed", opts.seed);
+                w.field("queue", &opts.queue);
+                w.field("fault", &opts.fault);
             })
         })
         .collect()
 }
 
-fn encode_point(p: &SweepPoint) -> String {
-    let mut w = PayloadWriter::new();
+fn encode(p: &SweepPoint, w: &mut PayloadWriter) {
     w.f64("p99_us", p.p99_us);
     w.f64("mean_us", p.mean_us);
     w.bool("saturated", p.saturated);
-    w.finish()
 }
 
-// Measured outputs only: the (design, load) coordinates are rebuilt from
-// the grid at assembly time.
-fn decode_point(payload: &str) -> Option<(f64, f64, bool)> {
-    let mut r = PayloadReader::new(payload);
-    let p99_us = r.f64("p99_us")?;
-    let mean_us = r.f64("mean_us")?;
-    let saturated = r.bool("saturated")?;
-    r.done().then_some((p99_us, mean_us, saturated))
+fn decode(opts: &SweepOptions, c: &Cell, r: &mut PayloadReader) -> Option<SweepPoint> {
+    Some(SweepPoint {
+        design: opts.designs[c.design],
+        load: c.load,
+        p99_us: r.f64("p99_us")?,
+        mean_us: r.f64("mean_us")?,
+        saturated: r.bool("saturated")?,
+    })
 }
 
 /// Runs the sweep: one saturated calibration per design, then a queueing
 /// simulation per (design, load), with common random numbers across designs.
 ///
+/// Every (design, load) point builds its queueing RNG from (seed, load), so
+/// the grid parallelizes with bit-identical results in design-major order.
+///
 /// # Panics
 ///
-/// Panics if the options contain no loads, no designs, or omit
-/// [`Design::Baseline`] (the slowdown reference).
+/// Panics if the options contain no loads or no designs, omit
+/// [`Design::Baseline`] (the slowdown reference), or contain two distinct
+/// loads closer than 0.001 (they would share a seed).
 #[must_use]
 pub fn latency_load_sweep(opts: &SweepOptions) -> Vec<SweepPoint> {
-    assert!(
-        !opts.loads.is_empty() && !opts.designs.is_empty(),
-        "empty sweep"
-    );
-    assert!(
-        opts.designs.contains(&Design::Baseline),
-        "baseline required as the slowdown reference"
-    );
+    let cells = cells(opts);
+    validate_axes("sweep", cells.len(), Some(&opts.designs), &[], &opts.loads);
     let model = opts.workload.service_model();
     let nominal = opts.workload.nominal_service_us();
     let stall = model.mean_stall_us();
 
-    let pool = ExecPool::new(opts.threads);
-
-    // Every (design, load) point builds its queueing RNG from
-    // (seed, load) — common random numbers across designs — so the grid
-    // parallelizes with bit-identical results in design-major order.
-    let grid: Vec<(usize, f64)> = (0..opts.designs.len())
-        .flat_map(|di| opts.loads.iter().map(move |&l| (di, l)))
-        .collect();
-    let keys = cell_keys(opts);
-    let hits = match &opts.cache {
-        Some(cache) => cache.probe(&keys, decode_point),
-        None => grid.iter().map(|_| None).collect(),
-    };
-    let misses = miss_indices(&hits);
-
-    let saturated_service = |design: Design| -> Option<f64> {
-        let m = ServerSim::new(design, opts.workload)
-            .saturated()
-            .horizon_cycles(opts.calibration_cycles)
-            .seed(derive_stream(opts.seed, 0x53E9))
-            .run();
-        if m.request_latencies_us.len() < 10 {
-            return None;
-        }
-        Some(m.request_latencies_us.iter().sum::<f64>() / m.request_latencies_us.len() as f64)
-    };
-
-    // Calibrations are independent cycle simulations — one per design — so
-    // they run on the pool; the baseline's slot is the slowdown reference.
-    // Only designs with a missed cell calibrate (plus the baseline, which
-    // anchors every slowdown): each calibration is a pure function of
-    // (design, workload, horizon, seed), so a subset run is bit-identical.
-    let mut needed = vec![false; opts.designs.len()];
-    for &i in &misses {
-        needed[grid[i].0] = true;
-    }
-    let base_idx = opts
-        .designs
-        .iter()
-        .position(|&d| d == Design::Baseline)
-        .expect("asserted above");
-    if !misses.is_empty() {
-        needed[base_idx] = true;
-    }
-    let needed_idx: Vec<usize> = (0..opts.designs.len()).filter(|&i| needed[i]).collect();
-    let calibrated = pool.run("sweep/calibrate", needed_idx.len(), |j| {
-        saturated_service(opts.designs[needed_idx[j]])
-    });
-    let mut services: Vec<Option<f64>> = vec![None; opts.designs.len()];
-    for (j, &di) in needed_idx.iter().enumerate() {
-        services[di] = calibrated[j];
-    }
-    let base_service = services[base_idx];
-    let slowdowns: Vec<f64> = services
-        .iter()
-        .map(|mine| match (base_service, *mine) {
-            (Some(b), Some(m)) => {
-                let (bc, mc) = ((b - stall).max(0.05), (m - stall).max(0.05));
-                (mc / bc).clamp(1.0, 6.0)
+    let grid = CachedGrid::probe(
+        "sweep",
+        opts.threads,
+        cells,
+        cell_keys(opts),
+        opts.cache.as_ref(),
+        |c, r| decode(opts, c, r),
+    );
+    let slowdowns = grid.calibrate(
+        opts.workload,
+        &opts.designs,
+        opts.calibration_cycles,
+        opts.seed,
+        |c| c.design,
+    );
+    let points = grid.run(
+        1,
+        |c, rep| {
+            let slowdown = slowdowns[c.design];
+            let lambda = c.load / nominal;
+            let scaled_mean =
+                model.mean_compute_us() * slowdown + opts.fault.effective_mean_bound_us(stall);
+            if lambda * scaled_mean >= 0.95 {
+                return None;
             }
-            _ => 1.0,
-        })
-        .collect();
-
-    let fresh = pool.run("sweep/points", misses.len(), |j| {
-        let (di, load) = grid[misses[j]];
-        let design = opts.designs[di];
-        let slowdown = slowdowns[di];
-        let lambda = load / nominal;
-        let scaled_mean =
-            model.mean_compute_us() * slowdown + opts.fault.effective_mean_bound_us(stall);
-        if lambda * scaled_mean >= 0.95 {
-            return SweepPoint {
-                design,
-                load,
-                p99_us: f64::INFINITY,
-                mean_us: f64::INFINITY,
-                saturated: true,
+            let scaled = model.scale_compute(slowdown);
+            let fault = opts.fault;
+            let mut service = |rng: &mut SimRng| {
+                let c = scaled.sample_compute(rng);
+                if fault.is_none() {
+                    c + scaled.sample_stall(rng)
+                } else {
+                    c + fault
+                        .sample_event(EventKind::RemoteMemory, rng, |r| scaled.sample_stall(r))
+                        .latency_us
+                }
             };
-        }
-        let scaled = model.scale_compute(slowdown);
-        let fault = opts.fault;
-        let mut service = |rng: &mut SimRng| {
-            let c = scaled.sample_compute(rng);
-            if fault.is_none() {
-                c + scaled.sample_stall(rng)
-            } else {
-                c + fault
-                    .sample_event(EventKind::RemoteMemory, rng, |r| scaled.sample_stall(r))
-                    .latency_us
-            }
-        };
-        let mut qopts = opts.queue;
-        qopts.seed = derive_stream(opts.seed, 0x53EA ^ (load * 1000.0) as u64);
-        // The pre-guard above is a cheap bound; the DES pilot is the
-        // authoritative stability check, and its typed Unstable verdict
-        // marks the point saturated instead of killing the sweep.
-        match try_simulate_mg1(lambda, &mut service, &qopts) {
-            Ok(r) => SweepPoint {
-                design,
-                load,
-                p99_us: r.tail_us,
-                mean_us: r.mean_sojourn_us,
-                saturated: false,
-            },
-            Err(_) => SweepPoint {
-                design,
-                load,
-                p99_us: f64::INFINITY,
-                mean_us: f64::INFINITY,
-                saturated: true,
-            },
-        }
-    });
-    if let Some(cache) = &opts.cache {
-        for (j, &i) in misses.iter().enumerate() {
-            cache.store(&keys[i], &encode_point(&fresh[j]));
-        }
-    }
-    let hit_points = hits
-        .into_iter()
-        .zip(&grid)
-        .map(|(hit, &(di, load))| {
-            hit.map(|(p99_us, mean_us, saturated)| SweepPoint {
-                design: opts.designs[di],
-                load,
-                p99_us,
-                mean_us,
-                saturated,
-            })
-        })
-        .collect();
-    let points = assemble(hit_points, fresh);
+            let mut qopts = opts.queue;
+            qopts.seed = cell_seed(opts.seed, 0x53EA, c.load, 0, rep);
+            // The pre-guard above is a cheap bound; the DES pilot is the
+            // authoritative stability check, and its typed Unstable verdict
+            // marks the point saturated instead of killing the sweep.
+            try_simulate_mg1(lambda, &mut service, &qopts).ok()
+        },
+        |_| unreachable!("one replication per cell"),
+        |c, r| SweepPoint {
+            design: opts.designs[c.design],
+            load: c.load,
+            p99_us: r.as_ref().map_or(f64::INFINITY, |r| r.tail_us),
+            mean_us: r.as_ref().map_or(f64::INFINITY, |r| r.mean_sojourn_us),
+            saturated: r.is_none(),
+        },
+        encode,
+    );
     if log_enabled() {
         let saturated = points.iter().filter(|p| p.saturated).count();
         log_line(&format!(
